@@ -137,11 +137,6 @@ def reshape(a: Node, shape) -> Node:
     )
 
 
-def rsqrt(a: Node) -> Node:
-    v = 1.0 / np.sqrt(a.value)
-    return a.tape.record(v, (a,), lambda g: (-0.5 * g * v ** 3,))
-
-
 def silu(a: Node) -> Node:
     x = a.value
     with np.errstate(over="ignore"):  # exp overflow saturates sigmoid to 0

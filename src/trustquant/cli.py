@@ -30,6 +30,13 @@ def _effective_seed(args, config_seed: int = 0) -> int:
     return config_seed
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _quant_overrides(args, quant: QuantConfig) -> QuantConfig:
     updates = {}
     if args.format or args.bits:
@@ -112,19 +119,12 @@ def cmd_mask_stats(args) -> int:
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
     stream = trainer.BatchStream(windows, args.batch_tokens // model.cfg.max_seq_len, seed)
     state = trainer.AdamWState()
-    skip_decay = {n for n in model.params if model.is_norm_gain(n)}
-    from .model import forward_loss
 
     stats: list[diagnostics.MaskStats] = []
     previous: dict[str, np.ndarray] = {}
     for step in range(args.steps):
-        batch = stream.next_batch()
-        loss, tape, trace = forward_loss(model, batch)
-        tape.backward(loss)
-        grads = {name: trace.param_leaves[name].grad for name in model.params}
-        grads, _ = trainer.clip_grad_norm(grads, train_cfg.clip_norm)
-        trainer.adamw_step(model.params, grads, state,
-                           trainer.lr_at(step, train_cfg), train_cfg, skip_decay)
+        _, _, trace = trainer.train_step(model, stream.next_batch(), state,
+                                         trainer.lr_at(step, train_cfg), train_cfg)
         if step % args.interval == 0:
             for name, ctx in trace.layer_contexts.items():
                 persistence = (
@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--interval", type=int, default=10)
+    p.add_argument("--steps", type=_positive_int, default=50)
+    p.add_argument("--interval", type=_positive_int, default=10)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-tokens", type=int, default=1024)
     p.add_argument("--seed", type=int, default=None)

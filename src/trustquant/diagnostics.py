@@ -67,6 +67,15 @@ def _block_grads(model: Model, tokens: np.ndarray, quant: QuantConfig):
     return [node.grad for node in trace.block_outputs]
 
 
+def _block_cosines(model: Model, tokens: np.ndarray,
+                   quant: QuantConfig) -> list[float | None]:
+    """Per-block cosine of the activation gradient under `quant` with the
+    gradient under the same config with activation quantization disabled."""
+    quantized = _block_grads(model, tokens, quant)
+    reference = _block_grads(model, tokens, dataclasses.replace(quant, weight_only=True))
+    return [cosine(q, r) for q, r in zip(quantized, reference)]
+
+
 def grad_alignment(model: Model, tokens: np.ndarray, block: int,
                    quant: QuantConfig | None = None) -> float | None:
     """Cosine similarity of the block's activation gradient with vs without
@@ -74,11 +83,7 @@ def grad_alignment(model: Model, tokens: np.ndarray, block: int,
     quant = quant if quant is not None else model.cfg.quant
     if block >= model.cfg.num_blocks:
         raise ValueError(f"block {block} out of range for {model.cfg.num_blocks} blocks")
-    quantized = _block_grads(model, tokens, quant)[block]
-    reference = _block_grads(
-        model, tokens, dataclasses.replace(quant, weight_only=True)
-    )[block]
-    return cosine(quantized, reference)
+    return _block_cosines(model, tokens, quant)[block]
 
 
 def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[AlignmentRecord]:
@@ -86,13 +91,8 @@ def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[Alignmen
     records = []
     for sample, tokens in enumerate(batches):
         for tag in tags:
-            quant = estimator_config(model.cfg.quant, tag)
-            quantized = _block_grads(model, tokens, quant)
-            reference = _block_grads(
-                model, tokens, dataclasses.replace(quant, weight_only=True)
-            )
-            for block in range(model.cfg.num_blocks):
-                xi = cosine(quantized[block], reference[block])
+            xis = _block_cosines(model, tokens, estimator_config(model.cfg.quant, tag))
+            for block, xi in enumerate(xis):
                 records.append(AlignmentRecord(block=block, tag=tag, xi=xi, sample=sample))
     return records
 

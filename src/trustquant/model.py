@@ -90,9 +90,6 @@ class Model:
         }
         self._rope_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def param_names(self):
-        return list(self.params)
-
     def is_norm_gain(self, name: str) -> bool:
         return name.endswith("norm")
 

@@ -1,8 +1,9 @@
 """Quantized linear layer: transform, project, multiply; masked backward.
 
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
-y = x_hat_h @ w_hat_h^T. The context carries exactly the forward outputs the
-backward needs: y's operands and the two trust masks.
+y = x_hat_h @ w_hat_h^T. The context carries exactly what the backward needs:
+y's operands x_hat_h and w_hat_h, the two trust masks, and the Hadamard plan
+(None when the layer runs without the transform).
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -23,19 +24,15 @@ from .quantizer import AlphaTable, QuantConfig, project
 
 @dataclass
 class QLinearContext:
-    """Saved forward state: batch x k activations, n x k row-major weight."""
+    """Saved forward state for the backward: the batch x k quantized
+    activations and n x k row-major quantized weights (both in the transform
+    domain), their trust masks, and the Hadamard plan or None."""
 
-    y: np.ndarray
     x_hat_h: np.ndarray
     w_hat_h: np.ndarray
     mask_x: np.ndarray
     mask_w: np.ndarray
-    x_scale: np.ndarray
-    w_scale: np.ndarray
-    cfg: QuantConfig
     plan: HadamardPlan | None
-    w_sparsity: np.ndarray | None = None
-    w_codes: np.ndarray | None = None
 
     @property
     def untrusted_weight_fraction(self) -> float:
@@ -48,8 +45,6 @@ def forward(
     cfg: QuantConfig,
     table: AlphaTable,
     plan: HadamardPlan | None = None,
-    *,
-    with_codes: bool = False,
 ):
     """Run the quantized layer; returns (y, context).
 
@@ -73,34 +68,24 @@ def forward(
     if cfg.format == "none" or cfg.weight_only:
         x_hat = x_h
         mask_x = np.ones(x_h.shape, dtype=bool)
-        x_scale = np.zeros(x_h.shape[:1] + (1,), dtype=x_h.dtype)
     else:
         px = project(x_h, cfg, table, axis=1)
-        x_hat, mask_x, x_scale = px.values, px.trust_mask, px.scale
+        x_hat, mask_x = px.values, px.trust_mask
 
     if cfg.format == "none":
         w_hat = w_h
         mask_w = np.ones(w_h.shape, dtype=bool)
-        w_scale = np.zeros(w_h.shape[:1] + (1,), dtype=w_h.dtype)
-        w_sparsity = w_codes = None
     else:
-        pw = project(w_h, cfg, table, axis=1, with_codes=with_codes)
-        w_hat, mask_w, w_scale = pw.values, pw.trust_mask, pw.scale
-        w_sparsity, w_codes = pw.sparsity_mask, pw.codes
+        pw = project(w_h, cfg, table, axis=1)
+        w_hat, mask_w = pw.values, pw.trust_mask
 
     y = x_hat @ w_hat.T
     ctx = QLinearContext(
-        y=y,
         x_hat_h=x_hat,
         w_hat_h=w_hat,
         mask_x=mask_x,
         mask_w=mask_w,
-        x_scale=x_scale,
-        w_scale=w_scale,
-        cfg=cfg,
         plan=plan,
-        w_sparsity=w_sparsity,
-        w_codes=w_codes,
     )
     return y, ctx
 

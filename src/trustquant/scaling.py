@@ -7,7 +7,7 @@ point of the grid a, b in {0,5,...,25}, e in {-1,...,1}, alpha, beta in
 {0,0.5,...,2} (log-space parameters), log eff starting at 0. All simplexes
 advance in lockstep through one vectorized Nelder-Mead (reflection 1,
 expansion 2, contraction 0.5, shrink 0.5; initial vertices perturb each
-coordinate by 5%, 0.00025 at zero), each until its diameter drops below
+coordinate by 5%, 0.25 at zero), each until its diameter drops below
 1e-8 or 5000 iterations. The winner is the deterministic argmin with
 index tie-break.
 

@@ -21,23 +21,6 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
-class ShapeMismatch(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real matrix product a @ b for 2-D operands.
-
-    Accumulation happens in the operand precision (BLAS); inner dimensions
-    must agree exactly.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def rms(x: np.ndarray, axis: int = -1, group_size: int | None = None) -> np.ndarray:
     """Per-group root mean square along `axis`.
 
@@ -121,11 +104,6 @@ class Rng:
         return out.reshape(shape) if shape else out[0]
 
 
-def sample_normal(rng: Rng, shape, dtype=F32) -> np.ndarray:
-    """i.i.d. standard normals drawn from the rng's counter stream."""
-    return rng.normal(shape, dtype=dtype)
-
-
 # --- serialization ----------------------------------------------------------
 
 def save_tensor(f, x: np.ndarray) -> None:
@@ -141,16 +119,27 @@ def save_tensor(f, x: np.ndarray) -> None:
     f.write(x.astype(x.dtype.newbyteorder("<")).tobytes())
 
 
+def _read(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated tensor record: {what} needs {n} bytes, got {len(data)}")
+    return data
+
+
 def load_tensor(f) -> np.ndarray:
-    magic = f.read(4)
+    """Read one record written by save_tensor; ValueError on a short read
+    or an unknown dtype tag."""
+    magic = _read(f, 4, "magic")
     if magic != _MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
-    version, rank = struct.unpack("<II", f.read(8))
+    version, rank = struct.unpack("<II", _read(f, 8, "version and rank"))
     if version != _VERSION:
         raise ValueError(f"unsupported tensor version {version}")
-    shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-    (tag,) = struct.unpack("<B", f.read(1))
+    shape = struct.unpack(f"<{rank}Q", _read(f, 8 * rank, "shape"))
+    (tag,) = struct.unpack("<B", _read(f, 1, "dtype tag"))
+    if tag not in _TAG_DTYPES:
+        raise ValueError(f"unknown tensor dtype tag {tag}")
     dtype = _TAG_DTYPES[tag].newbyteorder("<")
     count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(f.read(count * dtype.itemsize), dtype=dtype)
+    data = np.frombuffer(_read(f, count * dtype.itemsize, "payload"), dtype=dtype)
     return data.reshape(shape).astype(_TAG_DTYPES[tag])

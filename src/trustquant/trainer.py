@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Model, forward_loss, save_checkpoint
-from .tensor import F32, Rng
+from .tensor import Rng
 
 # Table of published (size -> peak LR) anchors; between anchors the helper
 # interpolates as peak_lr ~ 1/N calibrated at the 100M row.
@@ -192,6 +192,26 @@ def eval_loss(model: Model, windows: np.ndarray, batch_size: int = 16) -> float:
     return total / count
 
 
+def train_step(model: Model, batch: np.ndarray, state: AdamWState, lr: float,
+               cfg: TrainConfig):
+    """One optimizer step on `batch`: forward, backward, clip, AdamW.
+
+    Returns (loss, pre-clip grad norm, forward trace). A non-finite loss
+    raises TrainingDiverged before backward, leaving params and state as
+    they were.
+    """
+    loss, tape, trace = forward_loss(model, batch)
+    loss_val = float(loss.value)
+    if not math.isfinite(loss_val):
+        raise TrainingDiverged(f"non-finite loss {loss_val} at optimizer step {state.step}")
+    tape.backward(loss)
+    grads = {name: trace.param_leaves[name].grad for name in model.params}
+    grads, grad_norm = clip_grad_norm(grads, cfg.clip_norm)
+    skip_decay = {n for n in model.params if model.is_norm_gain(n)}
+    adamw_step(model.params, grads, state, lr, cfg, skip_decay)
+    return loss_val, grad_norm, trace
+
+
 def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     """Run the loop; emits metrics.jsonl and model.ckpt under out_dir.
 
@@ -199,35 +219,28 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     the last good checkpoint saved.
     """
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(os.environ.get("QUEST_SEED", cfg.seed))
     seq_len = model.cfg.max_seq_len
     windows = ingest(cfg.data_path, seq_len)
-    stream = BatchStream(windows, cfg.batch_tokens // seq_len, seed)
+    stream = BatchStream(windows, cfg.batch_tokens // seq_len, cfg.seed)
     eval_batch = windows[: min(len(windows), 8)]
 
     state = AdamWState()
-    skip_decay = {n for n in model.params if model.is_norm_gain(n)}
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     records = []
 
     with open(metrics_path, "w") as out:
         for step in range(cfg.total_steps):
-            batch = stream.next_batch()
-            loss, tape, trace = forward_loss(model, batch)
-            loss_val = float(loss.value)
-            if not math.isfinite(loss_val):
+            lr = lr_at(step, cfg)
+            try:
+                loss_val, grad_norm, trace = train_step(
+                    model, stream.next_batch(), state, lr, cfg
+                )
+            except TrainingDiverged as err:
                 save_checkpoint(model, ckpt_path)
                 raise TrainingDiverged(
                     f"loss diverged at step {step}; last good checkpoint at {ckpt_path}"
-                )
-            tape.backward(loss)
-            grads = {
-                name: trace.param_leaves[name].grad for name in model.params
-            }
-            grads, grad_norm = clip_grad_norm(grads, cfg.clip_norm)
-            lr = lr_at(step, cfg)
-            adamw_step(model.params, grads, state, lr, cfg, skip_decay)
+                ) from err
 
             record = {
                 "step": step,

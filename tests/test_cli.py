@@ -106,6 +106,39 @@ class TestTrainEval:
         assert a == b
 
 
+class TestSeedPrecedence:
+    @pytest.fixture()
+    def train_metrics(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=33)
+        config = {
+            "model": {"num_blocks": 1, "hidden_size": 32, "num_heads": 2, "max_seq_len": 32,
+                      "quant": {"format": "none", "hadamard": False}},
+            "train": {"peak_lr": 2e-3, "total_steps": 5, "batch_tokens": 128,
+                      "data_path": str(corpus), "seed": 21},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+
+        def run(out, *flags, env=None):
+            if env is None:
+                monkeypatch.delenv("QUEST_SEED", raising=False)
+            else:
+                monkeypatch.setenv("QUEST_SEED", env)
+            assert main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / out), *flags]) == 0
+            return (tmp_path / out / "metrics.jsonl").read_text()
+
+        return run
+
+    def test_env_beats_seed_flag(self, train_metrics):
+        assert train_metrics("env", "--seed", "5", env="99") == train_metrics("flag", "--seed", "99")
+
+    def test_seed_flag_beats_config(self, train_metrics):
+        config = train_metrics("config")
+        assert train_metrics("flag", "--seed", "5") != config
+        assert train_metrics("explicit", "--seed", "21") == config
+
+
 class TestDiagnosticsCommands:
     def test_align_csv(self, workspace, tmp_path):
         root, _, corpus = workspace
@@ -125,6 +158,15 @@ class TestDiagnosticsCommands:
         lines = (tmp_path / "masks.csv").read_text().splitlines()
         assert lines[0] == "step,layer,masked_fraction,persistence"
         assert len(lines) == 1 + 2 * 7  # 2 samples x 7 layers (1 block)
+
+
+    @pytest.mark.parametrize("flag", ["--steps", "--interval"])
+    def test_mask_stats_rejects_counts_below_one(self, flag, tmp_path):
+        proc = run_cli(["mask-stats", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                        "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path),
+                        flag, "0"])
+        assert proc.returncode != 0
+        assert flag in proc.stderr and "must be at least 1" in proc.stderr
 
 
 class TestBench:

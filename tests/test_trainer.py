@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import write_corpus
-from trustquant.model import ModelConfig, build
+from trustquant.model import ModelConfig, build, forward_loss, load_checkpoint
 from trustquant.quantizer import QuantConfig
 from trustquant.tensor import Rng
 from trustquant.trainer import (
@@ -13,6 +13,7 @@ from trustquant.trainer import (
     BatchStream,
     TrainConfig,
     TrainerError,
+    TrainingDiverged,
     adamw_step,
     clip_grad_norm,
     eval_loss,
@@ -217,22 +218,56 @@ class TestTrainLoop:
         loss = eval_loss(model, windows[:32])
         assert loss == pytest.approx(records[-1]["loss"], rel=0.15)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=7)
-        def one(out, env):
-            if env is not None:
-                monkeypatch.setenv("QUEST_SEED", str(env))
-            else:
-                monkeypatch.delenv("QUEST_SEED", raising=False)
-            cfg = ModelConfig(num_blocks=1, hidden_size=32, num_heads=2, max_seq_len=32,
-                              quant=QuantConfig(format="none", hadamard=False))
-            model = build(cfg, Rng(3))
-            tcfg = TrainConfig(peak_lr=2e-3, total_steps=5, batch_tokens=128,
-                               data_path=str(corpus), seed=21)
-            return train(model, tcfg, tmp_path / out)
 
-        base = one("a", None)
-        override = one("b", 99)
-        same = one("c", 99)
-        assert [r["loss"] for r in override] == [r["loss"] for r in same]
-        assert [r["loss"] for r in base] != [r["loss"] for r in override]
+def int4_model(seed=3):
+    cfg = ModelConfig(num_blocks=1, hidden_size=32, num_heads=2, max_seq_len=32,
+                      quant=QuantConfig(format="int4"))
+    return build(cfg, Rng(seed))
+
+
+def reference_train(model, cfg):
+    """The loop body as it stood before train_step existed: it pins the
+    operation order train_step must keep."""
+    windows = ingest(cfg.data_path, model.cfg.max_seq_len)
+    stream = BatchStream(windows, cfg.batch_tokens // model.cfg.max_seq_len, cfg.seed)
+    state = AdamWState()
+    skip_decay = {n for n in model.params if model.is_norm_gain(n)}
+    losses = []
+    for step in range(cfg.total_steps):
+        loss, tape, trace = forward_loss(model, stream.next_batch())
+        losses.append(float(loss.value))
+        tape.backward(loss)
+        grads = {name: trace.param_leaves[name].grad for name in model.params}
+        grads, _ = clip_grad_norm(grads, cfg.clip_norm)
+        adamw_step(model.params, grads, state, lr_at(step, cfg), cfg, skip_decay)
+    return losses
+
+
+class TestTrainStep:
+    def test_train_matches_reference_loop(self, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=8)
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=5, batch_tokens=128,
+                           data_path=str(corpus), seed=21)
+        ref_model, model = int4_model(), int4_model()
+        ref_losses = reference_train(ref_model, tcfg)
+        records = train(model, tcfg, tmp_path / "out")
+        assert [r["loss"] for r in records] == ref_losses
+        for name, p in ref_model.params.items():
+            assert p.tobytes() == model.params[name].tobytes(), name
+
+    def test_divergence_saves_checkpoint_and_applies_no_update(self, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=9)
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=5, batch_tokens=128,
+                           data_path=str(corpus), seed=21)
+        model = int4_model()
+        model.params["head"][0, 0] = np.nan
+        before = {name: p.copy() for name, p in model.params.items()}
+        out = tmp_path / "out"
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, tcfg, out)
+        ckpt = out / "model.ckpt"
+        assert "step 0" in str(err.value) and str(ckpt) in str(err.value)
+        saved = load_checkpoint(ckpt)
+        for name, p in model.params.items():
+            assert saved.params[name].tobytes() == p.tobytes() == before[name].tobytes(), name
+        assert (out / "metrics.jsonl").read_text() == ""
