@@ -1,28 +1,20 @@
-"""Orthonormal fast Walsh-Hadamard transform along a chosen axis.
+"""Orthonormal Walsh-Hadamard transform along a chosen axis, in BLAS passes.
 
-The transform uses the Sylvester construction scaled by m^(-1/2) per block,
-so it is its own inverse. Non-power-of-two lengths are handled by a
-block-diagonal decomposition into the largest power-of-two blocks
-(e.g. 640 -> 512 + 128), which preserves orthonormality and invertibility.
-No randomized sign flips: the transform is fixed and shared by weights and
-activations.
+The Sylvester transform scaled by m^(-1/2) per block is its own inverse. A
+power-of-two block runs as H_m = H_f1 ⊗ ... ⊗ H_fk with balanced factors of at
+most 32: one GEMM pass per factor against a cached ±1 Sylvester block, then one
+pass that restores the axis order and scales. Other lengths are block-diagonal
+in the largest power-of-two blocks (640 -> 512 + 128), still orthonormal and
+invertible. No randomized sign flips: the transform is fixed and shared by
+weights and activations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _pow2_blocks(n: int) -> list[int]:
-    blocks = []
-    rem = n
-    while rem:
-        b = 1 << (rem.bit_length() - 1)
-        blocks.append(b)
-        rem -= b
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,8 @@ class HadamardPlan:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"transform length must be positive, got {self.n}")
-        blocks = self.blocks if self.blocks is not None else tuple(_pow2_blocks(self.n))
+        blocks = self.blocks if self.blocks is not None else tuple(
+            1 << i for i in reversed(range(self.n.bit_length())) if self.n >> i & 1)
         for b in blocks:
             if b < 1 or (b & (b - 1)) != 0:
                 raise ValueError(f"block size {b} is not a power of two")
@@ -44,43 +37,51 @@ class HadamardPlan:
         object.__setattr__(self, "blocks", tuple(blocks))
 
 
-def _fwht_block(x: np.ndarray) -> np.ndarray:
-    """Butterfly over the last axis (power-of-two extent), in place on a copy."""
-    m = x.shape[-1]
-    out = np.ascontiguousarray(x).copy()
-    h = 1
-    while h < m:
-        shaped = out.reshape(x.shape[:-1] + (m // (2 * h), 2, h))
-        a = shaped[..., 0, :]
-        b = shaped[..., 1, :]
-        diff = a - b
-        a += b
-        b[...] = diff
-        h *= 2
-    if m > 1:
-        out *= np.asarray(1.0 / np.sqrt(m), dtype=x.dtype)
-    return out
+def _factors(m: int) -> list[int]:
+    """Balanced power-of-two factors of m, each at most 32, smallest first."""
+    p = m.bit_length() - 1
+    k = max(1, -(-p // 5))
+    return [1 << (p // k + (i >= k - p % k)) for i in range(k)]
+
+
+@functools.cache
+def _sylvester(f: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only ±1 Sylvester matrix of order f (symmetric)."""
+    h = np.ones((1, 1), dtype=dtype)
+    while h.shape[0] < f:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
+    """Write the HT of `src` over its power-of-two last axis into `dst`; both
+    may be strided. The work array is laid out (m/f, *rows, f), so after the
+    first pass, which reads `src` in place, each pass is contiguous GEMMs."""
+    lead, m = src.shape[:-1], src.shape[-1]
+    *outer, f = _factors(m)
+    cur = np.matmul(np.moveaxis(src.reshape(lead + (m // f, f)), -2, 0), _sylvester(f, src.dtype))
+    before = 1
+    for g in outer:
+        cur = np.matmul(_sylvester(g, src.dtype), cur.reshape(before, g, -1))
+        before *= g
+    np.multiply(np.moveaxis(cur.reshape((m // f,) + lead + (f,)), 0, -2),
+                src.dtype.type(1.0 / np.sqrt(m)), out=dst.reshape(lead + (m // f, f)))
 
 
 def ht(x: np.ndarray, plan: HadamardPlan, axis: int = -1) -> np.ndarray:
     """Apply the orthonormal Hadamard transform along `axis`."""
     x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        raise TypeError(f"Hadamard transform needs floating-point input, got dtype {x.dtype}")
     axis = axis % x.ndim
     if x.shape[axis] != plan.n:
-        raise ValueError(
-            f"axis extent {x.shape[axis]} does not match plan length {plan.n}"
-        )
-    moved = np.moveaxis(x, axis, -1)
-    if len(plan.blocks) == 1:
-        out = _fwht_block(moved)
-    else:
-        pieces = []
-        start = 0
-        for b in plan.blocks:
-            pieces.append(_fwht_block(moved[..., start:start + b]))
-            start += b
-        out = np.concatenate(pieces, axis=-1)
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+        raise ValueError(f"axis extent {x.shape[axis]} does not match plan length {plan.n}")
+    out = np.empty(x.shape, dtype=x.dtype)
+    src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    for start, b in zip(np.cumsum((0,) + plan.blocks), plan.blocks):
+        _transform_block(src[..., start:start + b], dst[..., start:start + b])
+    return out
 
 
 def iht(x: np.ndarray, plan: HadamardPlan, axis: int = -1) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .hadamard import HadamardPlan
 from .qlinear import qlinear
 from .quantizer import AlphaTable, QuantConfig
-from .tensor import F32, Rng, load_tensor, save_tensor
+from .tensor import F32, Rng, load_tensor, read_exact, save_tensor
 
 _CKPT_MAGIC = b"QSTM"
 
@@ -231,12 +231,12 @@ def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise ValueError(f"not a model checkpoint: {path}")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        cfg = ModelConfig.from_json(f.read(header_len).decode())
-        (count,) = struct.unpack("<I", f.read(4))
+        (header_len,) = struct.unpack("<I", read_exact(f, 4, "header length", "checkpoint"))
+        cfg = ModelConfig.from_json(read_exact(f, header_len, "header", "checkpoint").decode())
+        (count,) = struct.unpack("<I", read_exact(f, 4, "parameter count", "checkpoint"))
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length", "checkpoint"))
+            name = read_exact(f, name_len, "name", "checkpoint").decode()
             params[name] = load_tensor(f)
     return Model(cfg, params)

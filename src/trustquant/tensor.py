@@ -119,27 +119,27 @@ def save_tensor(f, x: np.ndarray) -> None:
     f.write(x.astype(x.dtype.newbyteorder("<")).tobytes())
 
 
-def _read(f, n: int, what: str) -> bytes:
+def read_exact(f, n: int, what: str, record: str = "tensor record") -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise ValueError(f"truncated tensor record: {what} needs {n} bytes, got {len(data)}")
+        raise ValueError(f"truncated {record}: {what} needs {n} bytes, got {len(data)}")
     return data
 
 
 def load_tensor(f) -> np.ndarray:
     """Read one record written by save_tensor; ValueError on a short read
     or an unknown dtype tag."""
-    magic = _read(f, 4, "magic")
+    magic = read_exact(f, 4, "magic")
     if magic != _MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
-    version, rank = struct.unpack("<II", _read(f, 8, "version and rank"))
+    version, rank = struct.unpack("<II", read_exact(f, 8, "version and rank"))
     if version != _VERSION:
         raise ValueError(f"unsupported tensor version {version}")
-    shape = struct.unpack(f"<{rank}Q", _read(f, 8 * rank, "shape"))
-    (tag,) = struct.unpack("<B", _read(f, 1, "dtype tag"))
+    shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, "shape"))
+    (tag,) = struct.unpack("<B", read_exact(f, 1, "dtype tag"))
     if tag not in _TAG_DTYPES:
         raise ValueError(f"unknown tensor dtype tag {tag}")
     dtype = _TAG_DTYPES[tag].newbyteorder("<")
     count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(_read(f, count * dtype.itemsize, "payload"), dtype=dtype)
+    data = np.frombuffer(read_exact(f, count * dtype.itemsize, "payload"), dtype=dtype)
     return data.reshape(shape).astype(_TAG_DTYPES[tag])

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from trustquant import hadamard
 from trustquant.hadamard import HadamardPlan, ht, iht
 
 
@@ -12,6 +13,16 @@ def dense_sylvester(n):
     while h.shape[0] < n:
         h = np.vstack([np.hstack([h, h]), np.hstack([h, -h])])
     return h / np.sqrt(n)
+
+
+def dense_plan(plan):
+    """Dense block-diagonal oracle: one Sylvester block per plan block."""
+    h = np.zeros((plan.n, plan.n))
+    start = 0
+    for b in plan.blocks:
+        h[start:start + b, start:start + b] = dense_sylvester(b)
+        start += b
+    return h
 
 
 class TestPlan:
@@ -82,6 +93,49 @@ class TestTransform:
         out = ht(x, HadamardPlan(8), axis=1)
         want = np.moveaxis(ht(np.moveaxis(x, 1, -1), HadamardPlan(8)), -1, 1)
         assert np.allclose(out, want)
+
+
+class TestFactoredOracle:
+    @pytest.mark.parametrize("n", [1 << k for k in range(11)])
+    def test_powers_of_two_match_dense_f64(self, n):
+        x = np.random.default_rng(n).standard_normal((6, n))
+        assert np.max(np.abs(ht(x, HadamardPlan(n)) - x @ dense_sylvester(n).T)) < 1e-12
+
+    @pytest.mark.parametrize("n", [640, 1792])
+    def test_block_diagonal_widths_match_dense(self, n):
+        plan = HadamardPlan(n)
+        x = np.random.default_rng(n).standard_normal((5, n))
+        assert np.max(np.abs(ht(x, plan) - x @ dense_plan(plan).T)) < 1e-12
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_each_axis_of_non_contiguous_input(self, axis):
+        x = np.random.default_rng(7).standard_normal((8, 12, 10, 2))[..., 0]
+        assert not x.flags.c_contiguous
+        plan = HadamardPlan(x.shape[axis])
+        want = np.moveaxis(np.moveaxis(x, axis, -1) @ dense_plan(plan).T, -1, axis)
+        assert np.max(np.abs(ht(x, plan, axis=axis) - want)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_kept_and_input_untouched(self, dtype):
+        x = np.random.default_rng(8).standard_normal((4, 640)).astype(dtype)
+        before = x.copy()
+        out = ht(x, HadamardPlan(640))
+        assert out.dtype == dtype and iht(out, HadamardPlan(640)).dtype == dtype
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 1024])
+    def test_output_does_not_alias_read_only_blocks(self, n):
+        out = ht(np.ones((3, n)), HadamardPlan(n))
+        for f in hadamard._factors(n):
+            block = hadamard._sylvester(f, np.dtype(np.float64))
+            assert not np.shares_memory(out, block)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
+    @pytest.mark.parametrize("fn", [ht, iht])
+    def test_non_floating_input_rejected(self, fn):
+        with pytest.raises(TypeError, match="int64"):
+            fn(np.arange(8, dtype=np.int64), HadamardPlan(8))
 
 
 class TestProperties:

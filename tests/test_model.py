@@ -204,6 +204,28 @@ class TestCheckpoint:
         for name in model.params:
             assert np.array_equal(back.params[name], model.params[name])
 
+    def test_truncation_at_every_offset_raises_value_error(self, tmp_path):
+        # the small tensors only, so every field kind is cut without a 30 kB file
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
+        small = {name: p for name, p in model.params.items() if p.size <= 64}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(model.cfg, small), path)
+        assert len(load_checkpoint(path).params) == len(small) > 2
+        whole = path.read_bytes()
+        cut_path = tmp_path / "cut.ckpt"
+        for cut in range(len(whole)):
+            cut_path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match="truncated|not a model checkpoint") as err:
+                load_checkpoint(cut_path)
+            assert type(err.value) is ValueError, f"cut at {cut}: {err.value!r}"
+
+    def test_truncated_field_is_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5)), path)
+        path.write_bytes(path.read_bytes()[:6])
+        with pytest.raises(ValueError, match="truncated checkpoint: header length needs 4 bytes, got 2"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope")
