@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import require_float
+
 
 @dataclass(frozen=True)
 class HadamardPlan:
@@ -72,8 +74,7 @@ def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
 def ht(x: np.ndarray, plan: HadamardPlan, axis: int = -1) -> np.ndarray:
     """Apply the orthonormal Hadamard transform along `axis`."""
     x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        raise TypeError(f"Hadamard transform needs floating-point input, got dtype {x.dtype}")
+    require_float(x, "Hadamard transform")
     axis = axis % x.ndim
     if x.shape[axis] != plan.n:
         raise ValueError(f"axis extent {x.shape[axis]} does not match plan length {plan.n}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import rms as tensor_rms
+from .tensor import require_float
 
 FP4_POINTS = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]) / 6.0
 FP4_GRID = np.sort(np.concatenate([-FP4_POINTS[1:], FP4_POINTS]))  # 15 points
@@ -93,24 +93,33 @@ def quantize_uniform(x: np.ndarray, alpha: float, b: int) -> np.ndarray:
     Grid points are g_i = -alpha + 2*alpha*i/(2^b - 1), i = 0..2^b-1; ties
     round toward +inf.
     """
-    values, _ = quantize_uniform_codes(x, alpha, b)
-    return values
+    return _uniform_grid(x, alpha, b, with_codes=False)[0]
 
 
 def quantize_uniform_codes(x: np.ndarray, alpha: float, b: int):
     """As quantize_uniform, also returning the integer grid indices."""
+    return _uniform_grid(x, alpha, b, with_codes=True)
+
+
+def _uniform_grid(x, alpha: float, b: int, with_codes: bool):
+    """quantize_uniform in one buffer of x's dtype; int64 codes on request."""
     if not 1 <= b <= 8:
         raise ValueError(f"bit-width must be in [1, 8], got {b}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x = np.asarray(x)
+    require_float(x, "uniform quantization")
     levels = (1 << b) - 1
-    clipped = np.clip(x, -alpha, alpha)
-    t = (clipped + alpha) * (levels / (2.0 * alpha))
-    codes = np.floor(t + 0.5)
-    np.clip(codes, 0, levels, out=codes)
-    values = (-alpha + codes * (2.0 * alpha / levels)).astype(x.dtype, copy=False)
-    return values, codes.astype(np.int64)
+    q = np.clip(x, -alpha, alpha)
+    q += alpha
+    q *= levels / (2.0 * alpha)
+    q += 0.5
+    np.floor(q, out=q)
+    np.clip(q, 0, levels, out=q)
+    codes = q.astype(np.int64) if with_codes else None
+    q *= 2.0 * alpha / levels
+    q += -alpha
+    return q, codes
 
 
 def round_fp4(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -119,6 +128,7 @@ def round_fp4(x: np.ndarray, alpha: float) -> np.ndarray:
     Ties go to the even grid index (indices over the sorted 15-point grid).
     """
     x = np.asarray(x)
+    require_float(x, "FP4 rounding")
     grid = (alpha * FP4_GRID).astype(np.float64)
     u = np.clip(x.astype(np.float64), -alpha, alpha)
     hi = np.searchsorted(grid, u).clip(1, len(grid) - 1)
@@ -243,18 +253,22 @@ class ProjectionResult:
 
 
 def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig, table: AlphaTable) -> np.ndarray:
-    """Per-element trust threshold in normalized coordinates.
+    """Per-element trust threshold in normalized coordinates, in x_norm's dtype.
 
     T = alpha/(2^b - 1) inside [-alpha, alpha], s * that beyond; the FP4 grid
-    uses its largest half-interval alpha/6 in place of alpha/(2^b - 1).
+    uses its largest half-interval alpha/6 in place of alpha/(2^b - 1). When
+    both agree (s = 1), T is a read-only broadcast of that one value.
     """
+    x_norm = np.asarray(x_norm)
     alpha = table.alpha(cfg.grid_key)
     if cfg.format == "fp4":
         half = alpha / 6.0
     else:
         half = alpha / ((1 << cfg.bits) - 1)
-    t = np.where(np.abs(x_norm) <= alpha, half, cfg.outer_trust_scale * half)
-    return t.astype(np.asarray(x_norm).dtype, copy=False)
+    inner, outer = x_norm.dtype.type(half), x_norm.dtype.type(cfg.outer_trust_scale * half)
+    if inner == outer:
+        return np.broadcast_to(inner, x_norm.shape)
+    return np.where(np.abs(x_norm) <= alpha, inner, outer)
 
 
 def trust_mask(
@@ -266,7 +280,8 @@ def trust_mask(
     """mask[k] = |x_hat_k - x_k| <= T_k, in normalized coordinates."""
     if x_norm.shape != x_hat_norm.shape:
         raise ValueError(f"shape mismatch {x_norm.shape} vs {x_hat_norm.shape}")
-    return np.abs(x_hat_norm - x_norm) <= trust_thresholds(x_norm, cfg, table)
+    residual = np.subtract(x_hat_norm, x_norm)
+    return np.abs(residual, out=residual) <= trust_thresholds(x_norm, cfg, table)
 
 
 def _group_shape(x: np.ndarray, axis: int, group_size: int):
@@ -287,61 +302,48 @@ def project(
 ) -> ProjectionResult:
     """RMS-normalize per group, quantize at alpha*, rescale, compute masks.
 
-    Zero-RMS groups map to all-zero output with a full-trust mask.
+    Runs in x's dtype on two buffers, x / r and the grid values rescaled in
+    place. Zero-RMS groups map to all-zero output with a full-trust mask.
     """
     x = np.asarray(x)
-    if cfg.format == "none":
-        return ProjectionResult(
-            values=x,
-            scale=rms_scale(x, cfg, table, axis),
-            trust_mask=np.ones(x.shape, dtype=bool),
-        )
+    require_float(x, "projection")
     axis = axis % x.ndim
-    group_size = cfg.group_size or x.shape[axis]
-    grouped = _group_shape(x, axis, group_size)
-    r = np.sqrt(np.mean(np.square(grouped), axis=-1, keepdims=True))
+    grouped = _group_shape(x, axis, cfg.group_size or x.shape[axis])
+    x_norm = np.square(grouped)
+    r = np.sqrt(np.mean(x_norm, axis=-1, keepdims=True))
+    alpha = 1.0 if cfg.format == "none" else table.alpha(cfg.grid_key)
+    scale = np.moveaxis(r[..., 0] * alpha, -1, axis)
+    if cfg.format == "none":
+        return ProjectionResult(values=x, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
     safe_r = np.where(r > 0, r, 1.0)
-    x_norm = grouped / safe_r
+    np.divide(grouped, safe_r, out=x_norm)
 
-    alpha = table.alpha(cfg.grid_key)
     sparsity_mask = None
     codes = None
     if cfg.format == "fp4":
-        q_norm = round_fp4(x_norm, alpha)
+        q = round_fp4(x_norm, alpha)
     elif cfg.format == "int4-sparse-2of4":
-        sparse_norm, keep = sparsify_2of4(x_norm, axis=-1)
-        q_sparse = quantize_uniform(sparse_norm, alpha, 4)
-        q_norm = np.where(keep, q_sparse, 0.0).astype(x.dtype, copy=False)
-        sparsity_mask = keep
+        sparse_norm, sparsity_mask = sparsify_2of4(x_norm, axis=-1)
+        q = quantize_uniform(sparse_norm, alpha, 4)
+        np.copyto(q, 0.0, where=~sparsity_mask)
     else:
-        q_norm, code_arr = quantize_uniform_codes(x_norm, alpha, cfg.bits)
-        if with_codes:
-            codes = code_arr
+        q, codes = _uniform_grid(x_norm, alpha, cfg.bits, with_codes)
 
-    mask = trust_mask(x_norm, q_norm, cfg, table)
-    values = q_norm * safe_r
-    # zero-RMS groups: exact zeros, full trust
-    zero_group = np.broadcast_to(r == 0, grouped.shape)
-    values = np.where(zero_group, 0.0, values).astype(x.dtype, copy=False)
-    mask = np.where(zero_group, True, mask)
+    mask = trust_mask(x_norm, q, cfg, table)
+    q *= safe_r
+    if (r == 0).any():  # zero-RMS groups: exact zeros, full trust
+        zero_group = np.broadcast_to(r == 0, q.shape)
+        np.copyto(q, 0.0, where=zero_group)
+        np.copyto(mask, True, where=zero_group)
 
     def restore(arr):
         return np.moveaxis(arr.reshape(np.moveaxis(x, axis, -1).shape), -1, axis)
 
-    result = ProjectionResult(
-        values=np.ascontiguousarray(restore(values)),
-        scale=np.moveaxis(r[..., 0] * alpha, -1, axis),
+    return ProjectionResult(
+        values=np.ascontiguousarray(restore(q)),
+        scale=scale,
         trust_mask=restore(mask),
         sparsity_mask=restore(sparsity_mask) if sparsity_mask is not None else None,
         codes=restore(codes) if codes is not None else None,
     )
-    return result
 
-
-def rms_scale(x: np.ndarray, cfg: QuantConfig, table: AlphaTable, axis: int = -1) -> np.ndarray:
-    """Per-group scale RMS * alpha* (alpha* treated as 1 for format none)."""
-    group_size = cfg.group_size or np.asarray(x).shape[axis]
-    r = tensor_rms(x, axis=axis, group_size=group_size)
-    if cfg.format == "none":
-        return r
-    return r * table.alpha(cfg.grid_key)

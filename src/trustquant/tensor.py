@@ -21,6 +21,12 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
+def require_float(x: np.ndarray, what: str) -> None:
+    """Raise TypeError naming the dtype unless `x` is floating-point."""
+    if not np.issubdtype(x.dtype, np.floating):
+        raise TypeError(f"{what} needs floating-point input, got dtype {x.dtype}")
+
+
 def rms(x: np.ndarray, axis: int = -1, group_size: int | None = None) -> np.ndarray:
     """Per-group root mean square along `axis`.
 

@@ -40,6 +40,8 @@ from trustquant.scaling import (
 from trustquant.tensor import Rng
 from trustquant.trainer import BatchStream, TrainConfig, ingest, train
 
+pytestmark = pytest.mark.acceptance
+
 TABLE_EFF = {1: 0.02, 2: 0.16, 3: 0.43, 4: 0.70, 8: 1.02, 16: 1.00}
 
 LADDER_STEPS = int(os.environ.get("QUEST_LADDER_STEPS", "300"))

@@ -164,17 +164,20 @@ class TestProperties:
         assert rel < 1e-4
 
     def test_runtime_scales_n_log_n(self):
-        rows = 64
-        def best_time(n, reps=12):
+        # both widths are timed in every repetition, so a noise burst on a
+        # shared host slows both; best-of over many repetitions drops it
+        rows, reps = 64, 40
+        cases = {}
+        for n in (1024, 4096):
             x = np.random.default_rng(n).standard_normal((rows, n)).astype(np.float32)
-            plan = HadamardPlan(n)
-            ht(x, plan)  # warm up
-            best = float("inf")
-            for _ in range(reps):
+            cases[n] = (x, HadamardPlan(n))
+            ht(*cases[n])  # warm up
+        best = dict.fromkeys(cases, float("inf"))
+        for _ in range(reps):
+            for n, (x, plan) in cases.items():
                 t0 = time.perf_counter()
                 ht(x, plan)
-                best = min(best, time.perf_counter() - t0)
-            return best
+                best[n] = min(best[n], time.perf_counter() - t0)
 
-        ratio = best_time(4096) / best_time(1024)
+        ratio = best[4096] / best[1024]
         assert ratio < 6.0, f"timing ratio {ratio:.2f}"

@@ -17,6 +17,7 @@ from trustquant.quantizer import (
     solve_alpha_star,
     sparsify_2of4,
     trust_mask,
+    trust_thresholds,
 )
 
 # alpha* and MSE values frozen from the exact per-cell oracle below
@@ -347,6 +348,132 @@ class TestProject:
         grp = x.reshape(2, 4, 4)
         want = np.sqrt(np.mean(np.square(grp), axis=-1)) * alpha_table.alpha(4)
         assert np.allclose(res.scale, want, rtol=1e-12)
+
+
+# --- frozen reference: project as it was before the one-buffer pipeline -----
+# INT rounding, trust rule and projection copied verbatim; round_fp4 and
+# sparsify_2of4 are shared because the pipeline kept them unchanged.
+
+def reference_uniform_codes(x, alpha, b):
+    levels = (1 << b) - 1
+    clipped = np.clip(x, -alpha, alpha)
+    t = (clipped + alpha) * (levels / (2.0 * alpha))
+    codes = np.floor(t + 0.5)
+    np.clip(codes, 0, levels, out=codes)
+    values = (-alpha + codes * (2.0 * alpha / levels)).astype(x.dtype, copy=False)
+    return values, codes.astype(np.int64)
+
+
+def reference_trust_mask(x_norm, x_hat_norm, cfg, table):
+    alpha = table.alpha(cfg.grid_key)
+    half = alpha / 6.0 if cfg.format == "fp4" else alpha / ((1 << cfg.bits) - 1)
+    t = np.where(np.abs(x_norm) <= alpha, half, cfg.outer_trust_scale * half)
+    return np.abs(x_hat_norm - x_norm) <= t.astype(x_norm.dtype, copy=False)
+
+
+def reference_project(x, cfg, table, axis=-1, with_codes=False):
+    if cfg.format == "none":
+        group_size = cfg.group_size or x.shape[axis]
+        moved = np.moveaxis(x, axis, -1)
+        grp = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // group_size, group_size))
+        scale = np.moveaxis(np.sqrt(np.mean(np.square(grp), axis=-1)), -1, axis % x.ndim)
+        return x, scale, np.ones(x.shape, dtype=bool), None, None
+    axis = axis % x.ndim
+    group_size = cfg.group_size or x.shape[axis]
+    moved = np.moveaxis(x, axis, -1)
+    grouped = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // group_size, group_size))
+    r = np.sqrt(np.mean(np.square(grouped), axis=-1, keepdims=True))
+    safe_r = np.where(r > 0, r, 1.0)
+    x_norm = grouped / safe_r
+    alpha = table.alpha(cfg.grid_key)
+    sparsity_mask = codes = None
+    if cfg.format == "fp4":
+        q_norm = round_fp4(x_norm, alpha)
+    elif cfg.format == "int4-sparse-2of4":
+        sparse_norm, keep = sparsify_2of4(x_norm, axis=-1)
+        q_sparse = reference_uniform_codes(sparse_norm, alpha, 4)[0]
+        q_norm = np.where(keep, q_sparse, 0.0).astype(x.dtype, copy=False)
+        sparsity_mask = keep
+    else:
+        q_norm, code_arr = reference_uniform_codes(x_norm, alpha, cfg.bits)
+        if with_codes:
+            codes = code_arr
+    mask = reference_trust_mask(x_norm, q_norm, cfg, table)
+    values = q_norm * safe_r
+    zero_group = np.broadcast_to(r == 0, grouped.shape)
+    values = np.where(zero_group, 0.0, values).astype(x.dtype, copy=False)
+    mask = np.where(zero_group, True, mask)
+
+    def restore(arr):
+        return None if arr is None else np.moveaxis(arr.reshape(moved.shape), -1, axis)
+
+    return (np.ascontiguousarray(restore(values)), np.moveaxis(r[..., 0] * alpha, -1, axis),
+            restore(mask), restore(sparsity_mask), restore(codes))
+
+
+def oracle_input(dtype, axis):
+    """(8, 12, 16) normals with outliers far beyond alpha, a zero fiber along
+    `axis` and a zero group of 4 beside a nonzero remainder."""
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((8, 12, 16))
+    x[rng.random(x.shape) < 0.03] *= 9.0
+    moved = np.moveaxis(x, axis, -1)
+    moved[0, 0, :] = 0.0
+    moved[1, 1, :4] = 0.0
+    return x.astype(dtype)
+
+
+class TestProjectOracle:
+    @pytest.mark.parametrize("fmt", ["none", "fp4", "int4-sparse-2of4", *(f"int{b}" for b in range(1, 9))])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_bit_identical_to_reference(self, fmt, dtype, axis, alpha_table):
+        x = oracle_input(dtype, axis)
+        for group_size in (None, 4):
+            cfg = QuantConfig(format=fmt, group_size=group_size)
+            for with_codes in (False, True):
+                got = project(x, cfg, alpha_table, axis=axis, with_codes=with_codes)
+                want = reference_project(x, cfg, alpha_table, axis, with_codes)
+                fields = (got.values, got.scale, got.trust_mask, got.sparsity_mask, got.codes)
+                for name, g, w in zip(("values", "scale", "trust_mask", "sparsity_mask", "codes"),
+                                      fields, want):
+                    where = f"{name} group_size={group_size} with_codes={with_codes}"
+                    if w is None:
+                        assert g is None, where
+                        continue
+                    assert g.dtype == w.dtype and np.array_equal(g, w), where
+        assert np.all(x == oracle_input(dtype, axis)), "input mutated"
+
+    def test_grid_exercises_outliers_and_zero_groups(self, alpha_table):
+        x = oracle_input(np.float32, 2)
+        assert not project(x, QuantConfig(format="int4"), alpha_table).trust_mask.all()
+        res = project(x, QuantConfig(format="int4", group_size=4), alpha_table)
+        assert (res.scale == 0).sum() == 5  # a zero fiber of four groups, one lone group
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("fmt", ["fp4", "int1", "int4", "int4-sparse-2of4"])
+    def test_float32_stays_float32(self, fmt, alpha_table):
+        x = np.random.default_rng(21).standard_normal((4, 16)).astype(np.float32)
+        cfg = QuantConfig(format=fmt)
+        assert trust_thresholds(x, cfg, alpha_table).dtype == np.float32
+        res = project(x, cfg, alpha_table)
+        assert res.values.dtype == np.float32 and res.scale.dtype == np.float32
+
+    @pytest.mark.parametrize("fmt", ["none", "fp4", "int4", "int4-sparse-2of4"])
+    def test_project_rejects_integer_input(self, fmt, alpha_table):
+        x = np.array([[3, -1, 2, 5, -4, 0, 1, -2]])
+        with pytest.raises(TypeError, match="int64"):
+            project(x, QuantConfig(format=fmt), alpha_table)
+
+    def test_rounding_rejects_integer_input(self):
+        x = np.array([1, 0, -1])
+        with pytest.raises(TypeError, match="int64"):
+            quantize_uniform(x, 1.5, 2)
+        with pytest.raises(TypeError, match="int64"):
+            quantize_uniform_codes(x, 1.5, 2)
+        with pytest.raises(TypeError, match="int64"):
+            round_fp4(x, 1.5)
 
 
 class TestQuantConfig:
