@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, packgemm, scaling, trainer
 from .model import ModelConfig, build, load_checkpoint
-from .quantizer import AlphaTable, QuantConfig
+from .quantizer import QuantConfig, alpha_star, gaussian_grid_mse
 from .tensor import Rng
 
 
@@ -145,9 +145,8 @@ def cmd_mask_stats(args) -> int:
 
 
 def cmd_alpha_table(args) -> int:
-    table = AlphaTable()
     _write_rows(sys.stdout, ["grid", "alpha_star", "mse"], [
-        (key, f"{table.alpha(key):.6f}", f"{table.mse(key):.8e}")
+        (key, f"{alpha_star(key):.6f}", f"{gaussian_grid_mse(alpha_star(key), key):.8e}")
         for key in [1, 2, 3, 4, 5, 6, 7, 8, "fp4"]
     ])
     return 0

@@ -5,38 +5,26 @@ power-of-two block runs as H_m = H_f1 ⊗ ... ⊗ H_fk with balanced factors of 
 most 32: one GEMM pass per factor against a cached ±1 Sylvester block, then one
 pass that restores the axis order and scales. Other lengths are block-diagonal
 in the largest power-of-two blocks (640 -> 512 + 128), still orthonormal and
-invertible. No randomized sign flips: the transform is fixed and shared by
-weights and activations.
+invertible. The length and its block split come from the transformed axis, so
+callers pass only the array and the axis. No randomized sign flips: the
+transform is fixed and shared by weights and activations.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import require_float
 
 
-@dataclass(frozen=True)
-class HadamardPlan:
-    """Transform length and its power-of-two block decomposition."""
-
-    n: int
-    blocks: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"transform length must be positive, got {self.n}")
-        blocks = self.blocks if self.blocks is not None else tuple(
-            1 << i for i in reversed(range(self.n.bit_length())) if self.n >> i & 1)
-        for b in blocks:
-            if b < 1 or (b & (b - 1)) != 0:
-                raise ValueError(f"block size {b} is not a power of two")
-        if sum(blocks) != self.n:
-            raise ValueError(f"blocks {blocks} do not sum to {self.n}")
-        object.__setattr__(self, "blocks", tuple(blocks))
+@functools.cache
+def _blocks(n: int) -> tuple[int, ...]:
+    """Power-of-two block split of length n: its set bits, largest first."""
+    if n < 1:
+        raise ValueError(f"transform length must be positive, got {n}")
+    return tuple(1 << i for i in reversed(range(n.bit_length())) if n >> i & 1)
 
 
 def _factors(m: int) -> list[int]:
@@ -71,21 +59,20 @@ def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
                 src.dtype.type(1.0 / np.sqrt(m)), out=dst.reshape(lead + (m // f, f)))
 
 
-def ht(x: np.ndarray, plan: HadamardPlan, axis: int = -1) -> np.ndarray:
+def ht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Apply the orthonormal Hadamard transform along `axis`."""
     x = np.asarray(x)
     require_float(x, "Hadamard transform")
     axis = axis % x.ndim
-    if x.shape[axis] != plan.n:
-        raise ValueError(f"axis extent {x.shape[axis]} does not match plan length {plan.n}")
+    blocks = _blocks(x.shape[axis])
     out = np.empty(x.shape, dtype=x.dtype)
     src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
-    for start, b in zip(np.cumsum((0,) + plan.blocks), plan.blocks):
+    for start, b in zip(np.cumsum((0,) + blocks), blocks):
         _transform_block(src[..., start:start + b], dst[..., start:start + b])
     return out
 
 
-def iht(x: np.ndarray, plan: HadamardPlan, axis: int = -1) -> np.ndarray:
+def iht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Inverse transform. The orthonormal Sylvester HT is an involution, so
     this equals ht; both names are part of the interface."""
-    return ht(x, plan, axis)
+    return ht(x, axis)

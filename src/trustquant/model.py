@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .hadamard import HadamardPlan
 from .qlinear import qlinear
-from .quantizer import AlphaTable, QuantConfig
+from .quantizer import QuantConfig
 from .tensor import F32, Rng, load_tensor, read_exact, save_tensor
 
 _CKPT_MAGIC = b"QSTM"
@@ -28,6 +27,11 @@ PROJECTION_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 
 def pad_to_multiple(x: int, multiple: int = 256) -> int:
     return ((x + multiple - 1) // multiple) * multiple
+
+
+def mlp_width(hidden: int) -> int:
+    """MLP intermediate width: 8/3 of `hidden`, padded up to a multiple of 256."""
+    return pad_to_multiple((8 * hidden + 2) // 3)
 
 
 @dataclass
@@ -52,7 +56,7 @@ class ModelConfig:
 
     @property
     def mlp_intermediate(self) -> int:
-        return pad_to_multiple((8 * self.hidden_size + 2) // 3)
+        return mlp_width(self.hidden_size)
 
     def non_embedding_params(self) -> int:
         h, i = self.hidden_size, self.mlp_intermediate
@@ -83,11 +87,6 @@ class Model:
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
-        self.table = AlphaTable()
-        self.plans = {
-            cfg.hidden_size: HadamardPlan(cfg.hidden_size),
-            cfg.mlp_intermediate: HadamardPlan(cfg.mlp_intermediate),
-        }
         self._rope_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def is_norm_gain(self, name: str) -> bool:
@@ -155,8 +154,8 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
     mask = _causal_mask(seq)
     scale = F32(1.0 / np.sqrt(hd))
 
-    def proj(x2d, name, k):
-        node, ctx = qlinear(x2d, leaves[name], quant, model.table, model.plans[k])
+    def proj(x2d, name):
+        node, ctx = qlinear(x2d, leaves[name], quant)
         trace.layer_contexts[name] = ctx
         return node
 
@@ -165,24 +164,24 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
         p = f"block{b}."
         a = ad.rmsnorm(x, leaves[p + "attn_norm"])
         a2d = ad.reshape(a, (batch * seq, h))
-        q = ad.reshape(proj(a2d, p + "wq", h), (batch, seq, nh, hd))
-        k = ad.reshape(proj(a2d, p + "wk", h), (batch, seq, nh, hd))
-        v = ad.reshape(proj(a2d, p + "wv", h), (batch, seq, nh, hd))
+        q = ad.reshape(proj(a2d, p + "wq"), (batch, seq, nh, hd))
+        k = ad.reshape(proj(a2d, p + "wk"), (batch, seq, nh, hd))
+        v = ad.reshape(proj(a2d, p + "wv"), (batch, seq, nh, hd))
         q = ad.rotary(ad.transpose(q, (0, 2, 1, 3)), cos, sin)  # (B, nh, S, hd)
         k = ad.rotary(ad.transpose(k, (0, 2, 1, 3)), cos, sin)
         v = ad.transpose(v, (0, 2, 1, 3))
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         probs = ad.softmax(ad.add(scores, mask))
         ctxv = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))  # (B, S, nh, hd)
-        o = proj(ad.reshape(ctxv, (batch * seq, h)), p + "wo", h)
+        o = proj(ad.reshape(ctxv, (batch * seq, h)), p + "wo")
         x = ad.add(x, ad.reshape(o, (batch, seq, h)))
 
         m = ad.rmsnorm(x, leaves[p + "mlp_norm"])
         m2d = ad.reshape(m, (batch * seq, h))
-        gate = proj(m2d, p + "w_gate", h)
-        up = proj(m2d, p + "w_up", h)
+        gate = proj(m2d, p + "w_gate")
+        up = proj(m2d, p + "w_up")
         act = ad.mul(ad.silu(gate), up)
-        down = proj(act, p + "w_down", cfg.mlp_intermediate)
+        down = proj(act, p + "w_down")
         x = ad.add(x, ad.reshape(down, (batch, seq, h)))
         trace.block_outputs.append(x)
 

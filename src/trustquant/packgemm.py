@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hadamard import HadamardPlan, ht
-from .model import pad_to_multiple
-from .quantizer import AlphaTable, QuantConfig, project
+from .hadamard import ht
+from .model import mlp_width
+from .quantizer import QuantConfig, project
 
 MAX_INNER_DIM = 1 << 23
 
@@ -91,20 +91,19 @@ def gemm_dequant(a: PackedMatrix, b: PackedMatrix) -> np.ndarray:
     return out
 
 
-def quantize_pack(x: np.ndarray, table: AlphaTable,
-                  cfg: QuantConfig | None = None) -> PackedMatrix:
+def quantize_pack(x: np.ndarray, cfg: QuantConfig | None = None) -> PackedMatrix:
     """Project onto the INT4 grid (per-row groups) and pack the codes."""
     cfg = cfg or QuantConfig(format="int4", hadamard=False)
     if cfg.grid_key != 4:
         raise ValueError("packing is defined for the 4-bit integer grid")
-    res = project(x, cfg, table, axis=1, with_codes=True)
+    res = project(x, cfg, axis=1, with_codes=True)
     group_size = cfg.group_size or x.shape[1]
     return pack(res.codes, scales=res.scale, group_size=group_size)
 
 
 def layer_shapes(hidden: int, batch: int = 512) -> list[tuple[str, int, int, int]]:
     """(name, m, k, n) for the seven projection layers at a given width."""
-    inter = pad_to_multiple((8 * hidden + 2) // 3)
+    inter = mlp_width(hidden)
     shapes = [(name, batch, hidden, hidden) for name in ("wq", "wk", "wv", "wo")]
     shapes += [("w_gate", batch, hidden, inter), ("w_up", batch, hidden, inter)]
     shapes += [("w_down", batch, inter, hidden)]
@@ -116,13 +115,11 @@ def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:
     quantize/pack + Hadamard + integer-GEMM pipeline."""
     from .tensor import Rng
 
-    table = AlphaTable()
     rows = []
     rng = Rng(seed)
     for name, m, k, n in shapes:
         x = rng.normal((m, k), dtype=np.float32)
         w = rng.normal((n, k), dtype=np.float32)
-        plan = HadamardPlan(k)
 
         def timed(fn):
             samples = []
@@ -133,10 +130,10 @@ def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:
             return float(np.median(samples)) * 1e3
 
         dense_ms = timed(lambda: x @ w.T)
-        ht_ms = timed(lambda: (ht(x, plan, axis=1), ht(w, plan, axis=1)))
-        pa = quantize_pack(x, table)
-        pb = quantize_pack(w, table)
-        quant_pack_ms = timed(lambda: (quantize_pack(x, table), quantize_pack(w, table)))
+        ht_ms = timed(lambda: (ht(x, axis=1), ht(w, axis=1)))
+        pa = quantize_pack(x)
+        pb = quantize_pack(w)
+        quant_pack_ms = timed(lambda: (quantize_pack(x), quantize_pack(w)))
         int_gemm_ms = timed(lambda: gemm_dequant(pa, pb))
         rows.append({
             "shape": f"{name}:{m}x{k}x{n}",

@@ -1,9 +1,10 @@
 """Quantized linear layer: transform, project, multiply; masked backward.
 
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
-y = x_hat_h @ w_hat_h^T. The context carries exactly what the backward needs:
-y's operands x_hat_h and w_hat_h, the two trust masks, and the Hadamard plan
-(None when the layer runs without the transform).
+y = x_hat_h @ w_hat_h^T. The transform runs along the shared inner axis k, so
+its length comes from the operands. The context carries exactly what the
+backward needs: y's operands x_hat_h and w_hat_h, the two trust masks, and
+whether the layer ran the transform.
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -18,34 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node
-from .hadamard import HadamardPlan, ht, iht
-from .quantizer import AlphaTable, QuantConfig, project
+from .hadamard import ht, iht
+from .quantizer import QuantConfig, project
 
 
 @dataclass
 class QLinearContext:
     """Saved forward state for the backward: the batch x k quantized
     activations and n x k row-major quantized weights (both in the transform
-    domain), their trust masks, and the Hadamard plan or None."""
+    domain), their trust masks, and whether the transform ran."""
 
     x_hat_h: np.ndarray
     w_hat_h: np.ndarray
     mask_x: np.ndarray
     mask_w: np.ndarray
-    plan: HadamardPlan | None
-
-    @property
-    def untrusted_weight_fraction(self) -> float:
-        return float(np.mean(~self.mask_w))
+    hadamard: bool
 
 
-def forward(
-    x: np.ndarray,
-    w: np.ndarray,
-    cfg: QuantConfig,
-    table: AlphaTable,
-    plan: HadamardPlan | None = None,
-):
+def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig):
     """Run the quantized layer; returns (y, context).
 
     x is batch x k, w is n x k (row-major); y is batch x n.
@@ -55,28 +46,23 @@ def forward(
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"inner dimensions disagree: {x.shape} x {w.shape}")
     if cfg.hadamard:
-        if plan is None:
-            plan = HadamardPlan(x.shape[1])
-        elif plan.n != x.shape[1]:
-            raise ValueError(f"plan length {plan.n} does not match k={x.shape[1]}")
-        x_h = ht(x, plan, axis=1)
-        w_h = ht(w, plan, axis=1)
+        x_h = ht(x, axis=1)
+        w_h = ht(w, axis=1)
     else:
-        plan = None
         x_h, w_h = x, w
 
     if cfg.format == "none" or cfg.weight_only:
         x_hat = x_h
         mask_x = np.ones(x_h.shape, dtype=bool)
     else:
-        px = project(x_h, cfg, table, axis=1)
+        px = project(x_h, cfg, axis=1)
         x_hat, mask_x = px.values, px.trust_mask
 
     if cfg.format == "none":
         w_hat = w_h
         mask_w = np.ones(w_h.shape, dtype=bool)
     else:
-        pw = project(w_h, cfg, table, axis=1)
+        pw = project(w_h, cfg, axis=1)
         w_hat, mask_w = pw.values, pw.trust_mask
 
     y = x_hat @ w_hat.T
@@ -85,7 +71,7 @@ def forward(
         w_hat_h=w_hat,
         mask_x=mask_x,
         mask_w=mask_w,
-        plan=plan,
+        hadamard=cfg.hadamard,
     )
     return y, ctx
 
@@ -101,9 +87,9 @@ def _estimate(ctx: QLinearContext, grad_y: np.ndarray, mask_x, mask_w):
     # bool multiply zeroes masked coordinates exactly
     grad_x = grad_x_hat if mask_x is True else grad_x_hat * mask_x
     grad_w = grad_w_hat if mask_w is True else grad_w_hat * mask_w
-    if ctx.plan is not None:
-        grad_x = iht(grad_x, ctx.plan, axis=1)
-        grad_w = iht(grad_w, ctx.plan, axis=1)
+    if ctx.hadamard:
+        grad_x = iht(grad_x, axis=1)
+        grad_w = iht(grad_w, axis=1)
     return grad_x, grad_w
 
 
@@ -121,13 +107,12 @@ def ste_backward(ctx: QLinearContext, grad_y: np.ndarray):
     return _estimate(ctx, grad_y, True, True)
 
 
-def qlinear(x: Node, w: Node, cfg: QuantConfig, table: AlphaTable,
-            plan: HadamardPlan | None = None):
+def qlinear(x: Node, w: Node, cfg: QuantConfig):
     """Tape registration of the layer; backward follows cfg.estimator.
 
     Returns (output node, context).
     """
-    y, ctx = forward(x.value, w.value, cfg, table, plan)
+    y, ctx = forward(x.value, w.value, cfg)
     estimator = backward if cfg.estimator == "trust" else ste_backward
     node = x.tape.record(y, (x, w), lambda g: estimator(ctx, g))
     return node, ctx

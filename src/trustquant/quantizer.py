@@ -5,13 +5,15 @@ excluding zero, so the half-width of a quantization interval is
 alpha / (2^b - 1). The FP4 grid is {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4,
 +-6}/6 rescaled by alpha. The clip scale alpha* minimizes the expected
 squared projection error of a standard normal, evaluated by composite
-Simpson integration and located by golden-section search.
+Simpson integration and located by golden-section search, once per grid per
+process (`alpha_star`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class QuantConfig:
 
     @property
     def grid_key(self):
-        """Key into the AlphaTable: bit-width for INT grids, "fp4" for FP4."""
+        """Key of the grid's alpha*: bit-width for INT grids, "fp4" for FP4."""
         if self.format == "fp4":
             return "fp4"
         return self.bits
@@ -110,7 +112,7 @@ def _uniform_grid(x, alpha: float, b: int, with_codes: bool):
     x = np.asarray(x)
     require_float(x, "uniform quantization")
     levels = (1 << b) - 1
-    q = np.clip(x, -alpha, alpha)
+    q = np.asarray(np.clip(x, -alpha, alpha))  # a 0-d x clips to a numpy scalar
     q += alpha
     q *= levels / (2.0 * alpha)
     q += 0.5
@@ -212,23 +214,11 @@ def solve_alpha_star(key, *, tol: float = _GOLDEN_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class AlphaTable:
-    """Cache of alpha*(grid) and the achieved Gaussian MSE."""
-
-    alphas: dict = field(default_factory=dict)
-    mses: dict = field(default_factory=dict)
-
-    def alpha(self, key) -> float:
-        if key not in self.alphas:
-            a = solve_alpha_star(key)
-            self.alphas[key] = a
-            self.mses[key] = gaussian_grid_mse(a, key)
-        return self.alphas[key]
-
-    def mse(self, key) -> float:
-        self.alpha(key)
-        return self.mses[key]
+@functools.cache
+def alpha_star(key) -> float:
+    """alpha* of a grid, solved once per process: after Hadamard + RMS
+    normalization it depends on the grid alone."""
+    return solve_alpha_star(key)
 
 
 # --- projection and trust masks ----------------------------------------------
@@ -252,7 +242,7 @@ class ProjectionResult:
     codes: np.ndarray | None = None
 
 
-def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig, table: AlphaTable) -> np.ndarray:
+def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Per-element trust threshold in normalized coordinates, in x_norm's dtype.
 
     T = alpha/(2^b - 1) inside [-alpha, alpha], s * that beyond; the FP4 grid
@@ -260,7 +250,7 @@ def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig, table: AlphaTable) ->
     both agree (s = 1), T is a read-only broadcast of that one value.
     """
     x_norm = np.asarray(x_norm)
-    alpha = table.alpha(cfg.grid_key)
+    alpha = alpha_star(cfg.grid_key)
     if cfg.format == "fp4":
         half = alpha / 6.0
     else:
@@ -271,17 +261,12 @@ def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig, table: AlphaTable) ->
     return np.where(np.abs(x_norm) <= alpha, inner, outer)
 
 
-def trust_mask(
-    x_norm: np.ndarray,
-    x_hat_norm: np.ndarray,
-    cfg: QuantConfig,
-    table: AlphaTable,
-) -> np.ndarray:
+def trust_mask(x_norm: np.ndarray, x_hat_norm: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """mask[k] = |x_hat_k - x_k| <= T_k, in normalized coordinates."""
     if x_norm.shape != x_hat_norm.shape:
         raise ValueError(f"shape mismatch {x_norm.shape} vs {x_hat_norm.shape}")
     residual = np.subtract(x_hat_norm, x_norm)
-    return np.abs(residual, out=residual) <= trust_thresholds(x_norm, cfg, table)
+    return np.abs(residual, out=residual) <= trust_thresholds(x_norm, cfg)
 
 
 def _group_shape(x: np.ndarray, axis: int, group_size: int):
@@ -295,7 +280,6 @@ def _group_shape(x: np.ndarray, axis: int, group_size: int):
 def project(
     x: np.ndarray,
     cfg: QuantConfig,
-    table: AlphaTable,
     axis: int = -1,
     *,
     with_codes: bool = False,
@@ -307,11 +291,13 @@ def project(
     """
     x = np.asarray(x)
     require_float(x, "projection")
+    if x.ndim == 0:
+        raise ValueError("projection needs at least one axis, got a 0-d array")
     axis = axis % x.ndim
     grouped = _group_shape(x, axis, cfg.group_size or x.shape[axis])
     x_norm = np.square(grouped)
     r = np.sqrt(np.mean(x_norm, axis=-1, keepdims=True))
-    alpha = 1.0 if cfg.format == "none" else table.alpha(cfg.grid_key)
+    alpha = 1.0 if cfg.format == "none" else alpha_star(cfg.grid_key)
     scale = np.moveaxis(r[..., 0] * alpha, -1, axis)
     if cfg.format == "none":
         return ProjectionResult(values=x, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
@@ -329,7 +315,7 @@ def project(
     else:
         q, codes = _uniform_grid(x_norm, alpha, cfg.bits, with_codes)
 
-    mask = trust_mask(x_norm, q, cfg, table)
+    mask = trust_mask(x_norm, q, cfg)
     q *= safe_r
     if (r == 0).any():  # zero-RMS groups: exact zeros, full trust
         zero_group = np.broadcast_to(r == 0, q.shape)

@@ -27,27 +27,6 @@ def require_float(x: np.ndarray, what: str) -> None:
         raise TypeError(f"{what} needs floating-point input, got dtype {x.dtype}")
 
 
-def rms(x: np.ndarray, axis: int = -1, group_size: int | None = None) -> np.ndarray:
-    """Per-group root mean square along `axis`.
-
-    With group_size=None the whole axis is one group. group_size must divide
-    the axis extent. Zero groups yield scale 0 (handled downstream).
-
-    Returned shape: x.shape with `axis` replaced by the number of groups.
-    """
-    x = np.asarray(x)
-    axis = axis % x.ndim
-    extent = x.shape[axis]
-    if group_size is None:
-        group_size = extent
-    if extent % group_size != 0:
-        raise ValueError(f"group size {group_size} does not divide axis extent {extent}")
-    moved = np.moveaxis(x, axis, -1)
-    grouped = moved.reshape(moved.shape[:-1] + (extent // group_size, group_size))
-    out = np.sqrt(np.mean(np.square(grouped), axis=-1))
-    return np.moveaxis(out, -1, axis)
-
-
 # --- deterministic counter-based RNG ---------------------------------------
 
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import mask_fraction
 from .model import Model, forward_loss, save_checkpoint
 from .tensor import Rng
 
@@ -248,7 +249,7 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
                 "loss": loss_val,
                 "grad_norm": grad_norm,
                 "untrusted_fraction": {
-                    name: ctx.untrusted_weight_fraction
+                    name: mask_fraction(ctx.mask_w)
                     for name, ctx in trace.layer_contexts.items()
                 },
             }

@@ -11,14 +11,6 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 import numpy as np
 import pytest
 
-from trustquant.quantizer import AlphaTable
-
-
-@pytest.fixture(scope="session")
-def alpha_table():
-    """One shared solver cache; alpha* is deterministic, so sharing is safe."""
-    return AlphaTable()
-
 
 @pytest.fixture()
 def rng_np():

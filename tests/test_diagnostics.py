@@ -16,9 +16,9 @@ from trustquant.diagnostics import (
     write_alignment_csv,
     write_masks_csv,
 )
-from trustquant.hadamard import HadamardPlan, ht
+from trustquant.hadamard import ht
 from trustquant.model import ModelConfig, build
-from trustquant.quantizer import QuantConfig, project
+from trustquant.quantizer import QuantConfig, alpha_star, project
 from trustquant.tensor import Rng
 
 
@@ -109,12 +109,12 @@ class TestMaskStats:
         mask = np.array([True, False, True, False])
         assert mask_fraction(mask) == 0.5
 
-    def test_gaussian_b8_matches_normal_tail(self, alpha_table):
+    def test_gaussian_b8_matches_normal_tail(self):
         cfg = QuantConfig(format="int8", hadamard=False)
         x = Rng(66).normal((256, 1024), dtype=np.float64)
-        res = project(x, cfg, alpha_table, axis=1)
+        res = project(x, cfg, axis=1)
         frac = mask_fraction(res.trust_mask)
-        alpha = alpha_table.alpha(8)
+        alpha = alpha_star(8)
         t = alpha / 255
         expected = 2.0 * (1.0 - phi_cdf(alpha + t))
         assert frac == pytest.approx(expected, rel=0.2)
@@ -137,23 +137,23 @@ class TestMaskStats:
         with pytest.raises(ValueError):
             mask_persistence(np.ones(3, dtype=bool), np.ones(4, dtype=bool))
 
-    def test_ht_on_gaussian_is_neutral(self, alpha_table):
+    def test_ht_on_gaussian_is_neutral(self):
         # HT of a Gaussian stays Gaussian: masked fractions agree within 20%
         cfg = QuantConfig(format="int8", hadamard=False)
         x = Rng(67).normal((256, 1024), dtype=np.float64)
-        plain = mask_fraction(project(x, cfg, alpha_table, axis=1).trust_mask)
+        plain = mask_fraction(project(x, cfg, axis=1).trust_mask)
         mixed = mask_fraction(
-            project(ht(x, HadamardPlan(1024), axis=1), cfg, alpha_table, axis=1).trust_mask
+            project(ht(x, axis=1), cfg, axis=1).trust_mask
         )
         assert mixed == pytest.approx(plain, rel=0.2)
 
-    def test_ht_halves_heavy_tail_masking(self, alpha_table):
+    def test_ht_halves_heavy_tail_masking(self):
         cfg = QuantConfig(format="int8", hadamard=False)
         rng = Rng(68)
         x = student_t3(rng, 256 * 1024).reshape(256, 1024)
-        plain = mask_fraction(project(x, cfg, alpha_table, axis=1).trust_mask)
+        plain = mask_fraction(project(x, cfg, axis=1).trust_mask)
         mixed = mask_fraction(
-            project(ht(x, HadamardPlan(1024), axis=1), cfg, alpha_table, axis=1).trust_mask
+            project(ht(x, axis=1), cfg, axis=1).trust_mask
         )
         assert mixed <= 0.5 * plain, (plain, mixed)
 

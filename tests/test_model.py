@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trustquant.diagnostics import mask_fraction
 from trustquant.model import (
     Model,
     ModelConfig,
@@ -114,16 +115,16 @@ class TestForward:
         eps = 1e-6
         inv = 1.0 / np.sqrt(np.mean(x ** 2, axis=-1, keepdims=True) + eps)
         a = (x * inv * model.params["block0.attn_norm"]).reshape(1, 64)
-        v, _ = ql.forward(a, model.params["block0.wv"], cfg.quant, model.table)
-        o, _ = ql.forward(v, model.params["block0.wo"], cfg.quant, model.table)
+        v, _ = ql.forward(a, model.params["block0.wv"], cfg.quant)
+        o, _ = ql.forward(v, model.params["block0.wo"], cfg.quant)
         pre_mlp = x[0, 0] + o[0]
         inv2 = 1.0 / np.sqrt(np.mean(pre_mlp ** 2) + eps)
         m = (pre_mlp * inv2 * model.params["block0.mlp_norm"]).reshape(1, 64)
-        gate, _ = ql.forward(m, model.params["block0.w_gate"], cfg.quant, model.table)
-        up, _ = ql.forward(m, model.params["block0.w_up"], cfg.quant, model.table)
+        gate, _ = ql.forward(m, model.params["block0.w_gate"], cfg.quant)
+        up, _ = ql.forward(m, model.params["block0.w_up"], cfg.quant)
         s = 1.0 / (1.0 + np.exp(-gate))
         act = gate * s * up
-        down, _ = ql.forward(act, model.params["block0.w_down"], cfg.quant, model.table)
+        down, _ = ql.forward(act, model.params["block0.w_down"], cfg.quant)
         want = pre_mlp + down[0]
         assert np.allclose(trace.block_outputs[0].value[0, 0], want, atol=1e-5)
 
@@ -153,7 +154,7 @@ class TestForward:
         _, _, trace = forward_loss(model, tokens)
         assert len(trace.layer_contexts) == 7 * 2
         for ctx in trace.layer_contexts.values():
-            assert 0.0 <= ctx.untrusted_weight_fraction <= 1.0
+            assert 0.0 <= mask_fraction(ctx.mask_w) <= 1.0
 
 
 class TestGradients:

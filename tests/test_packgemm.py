@@ -55,15 +55,15 @@ class TestGemmDequant:
         b = pack(np.full((1, 2), 15), scales=[[1.0]])
         assert gemm_dequant(a, b)[0, 0] == pytest.approx(-2.0)
 
-    def test_matches_float_simulated_path(self, alpha_table):
+    def test_matches_float_simulated_path(self):
         rng = np.random.default_rng(52)
         x = rng.standard_normal((32, 64))
         w = rng.standard_normal((48, 64))
         cfg = QuantConfig(format="int4", hadamard=False)
-        px = project(x, cfg, alpha_table, axis=1, with_codes=True)
-        pw = project(w, cfg, alpha_table, axis=1, with_codes=True)
+        px = project(x, cfg, axis=1, with_codes=True)
+        pw = project(w, cfg, axis=1, with_codes=True)
         float_path = px.values @ pw.values.T
-        int_path = gemm_dequant(quantize_pack(x, alpha_table), quantize_pack(w, alpha_table))
+        int_path = gemm_dequant(quantize_pack(x), quantize_pack(w))
         denom = np.abs(float_path).max()
         assert np.abs(int_path - float_path).max() / denom < 1e-6
 
@@ -82,13 +82,13 @@ class TestGemmDequant:
                     want[i, j] += (2 * ca[i, k] - 15) * (2 * cb[j, k] - 15)
         assert np.array_equal(got, want.astype(np.float64) / 225.0)
 
-    def test_grouped_scales(self, alpha_table):
+    def test_grouped_scales(self):
         rng = np.random.default_rng(54)
         x = rng.standard_normal((8, 16))
         w = rng.standard_normal((4, 16))
         cfg = QuantConfig(format="int4", hadamard=False, group_size=4)
-        px = project(x, cfg, alpha_table, axis=1, with_codes=True)
-        pw = project(w, cfg, alpha_table, axis=1, with_codes=True)
+        px = project(x, cfg, axis=1, with_codes=True)
+        pw = project(w, cfg, axis=1, with_codes=True)
         float_path = px.values @ pw.values.T
         pa = pack(px.codes, scales=px.scale, group_size=4)
         pb = pack(pw.codes, scales=pw.scale, group_size=4)

@@ -1,0 +1,56 @@
+"""The benchmark's tracer patches program functions by name; these tests keep
+every name it patches present, so a refactor cannot silently break
+`perfbench/run.py --trace 1`."""
+
+import importlib.util
+import os
+
+import pytest
+
+from trustquant import autodiff
+from trustquant import model as tq_model
+from trustquant.quantizer import QuantConfig
+from trustquant.tensor import Rng
+
+_SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "spans.py")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_is_an_attribute_of_its_owner(spans):
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in spans._targets() if attr not in owner.__dict__]
+    assert not missing, f"names the tracer patches are gone: {missing}"
+
+
+def test_install_then_uninstall_restores_originals(spans):
+    targets = [(owner, attr) for owner, attr, _, _ in spans._targets()]
+    targets.append((autodiff.Tape, "record"))
+    originals = {key: key[0].__dict__[key[1]] for key in targets}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not originals[owner, attr]
+                   for owner, attr in targets)
+        # one traced W4A4 step runs every wrapper and its counter
+        tracer.begin_unit(0)
+        cfg = tq_model.ModelConfig(num_blocks=1, hidden_size=16, num_heads=2,
+                                   max_seq_len=8, quant=QuantConfig(format="int4"))
+        model = tq_model.build(cfg, Rng(0))
+        loss, tape, _ = tq_model.forward_loss(model, Rng(1).integers(0, 256, (2, 9)))
+        tape.backward(loss)
+        agg, counts = tracer.end_unit()
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is originals[owner, attr] for owner, attr in targets)
+    for span in ("hadamard.ht", "hadamard.iht", "quantizer.project", "qlinear.forward",
+                 "qlinear.backward", "qlinear.qlinear", "model.forward_loss"):
+        assert agg[span][0] > 0, span
+    assert counts["quantizer.project.elems"] > 0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from trustquant import qlinear as ql
-from trustquant.hadamard import HadamardPlan
 from trustquant.quantizer import QuantConfig
 
 
@@ -22,50 +21,45 @@ def operands():
 
 
 class TestForward:
-    def test_format_none_is_exact_dense(self, operands, alpha_table):
+    def test_format_none_is_exact_dense(self, operands):
         x, w = operands
         cfg = QuantConfig(format="none", hadamard=False)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         assert np.array_equal(y, x @ w.T)
         assert np.all(ctx.mask_x) and np.all(ctx.mask_w)
 
-    def test_hadamard_only_preserves_product(self, alpha_table):
+    def test_hadamard_only_preserves_product(self):
         rng = np.random.default_rng(32)
         x = rng.standard_normal((32, 64)).astype(np.float32)
         w = rng.standard_normal((16, 64)).astype(np.float32)
         cfg = QuantConfig(format="none", hadamard=True)
-        y, _ = ql.forward(x, w, cfg, alpha_table)
+        y, _ = ql.forward(x, w, cfg)
         exact = x @ w.T
         assert np.linalg.norm(y - exact) / np.linalg.norm(exact) < 1e-4
 
-    def test_8bit_quantization_noise_is_small(self, alpha_table):
+    def test_8bit_quantization_noise_is_small(self):
         rng = np.random.default_rng(33)
         x = rng.standard_normal((32, 64)).astype(np.float32)
         w = rng.standard_normal((16, 64)).astype(np.float32)
-        y, _ = ql.forward(x, w, QuantConfig(format="int8"), alpha_table)
+        y, _ = ql.forward(x, w, QuantConfig(format="int8"))
         exact = x @ w.T
         assert np.linalg.norm(y - exact) / np.linalg.norm(exact) < 0.05
 
-    def test_weight_only_skips_activation_projection(self, operands, alpha_table):
+    def test_weight_only_skips_activation_projection(self, operands):
         x, w = operands
         cfg = QuantConfig(format="int4", hadamard=False, weight_only=True)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         assert np.array_equal(ctx.x_hat_h, x)
         assert np.all(ctx.mask_x)
         assert not np.array_equal(ctx.w_hat_h, w)
 
-    def test_shape_checks(self, alpha_table):
+    def test_shape_checks(self):
         with pytest.raises(ValueError, match="inner dimensions"):
-            ql.forward(np.ones((2, 3)), np.ones((4, 5)), QuantConfig(), alpha_table)
-        with pytest.raises(ValueError, match="plan length"):
-            ql.forward(
-                np.ones((2, 8)), np.ones((4, 8)), QuantConfig(), alpha_table,
-                plan=HadamardPlan(16),
-            )
+            ql.forward(np.ones((2, 3)), np.ones((4, 5)), QuantConfig())
 
-    def test_context_shapes(self, operands, alpha_table):
+    def test_context_shapes(self, operands):
         x, w = operands
-        _, ctx = ql.forward(x, w, QuantConfig(format="int4"), alpha_table)
+        _, ctx = ql.forward(x, w, QuantConfig(format="int4"))
         assert ctx.x_hat_h.shape == x.shape
         assert ctx.w_hat_h.shape == w.shape
         assert ctx.mask_x.shape == x.shape and ctx.mask_x.dtype == bool
@@ -73,10 +67,10 @@ class TestForward:
 
 
 class TestBackward:
-    def test_all_true_masks_equal_ste(self, operands, alpha_table):
+    def test_all_true_masks_equal_ste(self, operands):
         x, w = operands
         cfg = QuantConfig(format="int8", hadamard=False)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         gy = np.random.default_rng(34).standard_normal(y.shape)
         ctx.mask_x = np.ones_like(ctx.mask_x)
         ctx.mask_w = np.ones_like(ctx.mask_w)
@@ -85,21 +79,21 @@ class TestBackward:
         assert np.array_equal(gx_t, gx_s)
         assert np.array_equal(gw_t, gw_s)
 
-    def test_all_false_masks_zero_gradients(self, operands, alpha_table):
+    def test_all_false_masks_zero_gradients(self, operands):
         x, w = operands
         cfg = QuantConfig(format="int4", hadamard=False)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         ctx.mask_x = np.zeros_like(ctx.mask_x)
         ctx.mask_w = np.zeros_like(ctx.mask_w)
         gx, gw = ql.backward(ctx, np.ones(y.shape))
         assert np.all(gx == 0)
         assert np.all(gw == 0)
 
-    def test_mask_gradient_consistency_no_ht(self, operands, alpha_table):
+    def test_mask_gradient_consistency_no_ht(self, operands):
         # untrusted coordinates get exactly zero, trusted exactly the STE value
         x, w = operands
         cfg = QuantConfig(format="int2", hadamard=False)
-        y, ctx = ql.forward(x * 3, w * 3, cfg, alpha_table)
+        y, ctx = ql.forward(x * 3, w * 3, cfg)
         gy = np.random.default_rng(35).standard_normal(y.shape)
         gx, gw = ql.backward(ctx, gy)
         gx_ste, gw_ste = ql.ste_backward(ctx, gy)
@@ -108,10 +102,10 @@ class TestBackward:
         assert np.array_equal(gx[ctx.mask_x], gx_ste[ctx.mask_x])
         assert np.array_equal(gw[ctx.mask_w], gw_ste[ctx.mask_w])
 
-    def test_ste_differs_exactly_on_masked_coordinates(self, operands, alpha_table):
+    def test_ste_differs_exactly_on_masked_coordinates(self, operands):
         x, w = operands
         cfg = QuantConfig(format="int2", hadamard=False)
-        y, ctx = ql.forward(x * 3, w * 3, cfg, alpha_table)
+        y, ctx = ql.forward(x * 3, w * 3, cfg)
         assert not np.all(ctx.mask_w), "fixture should clip some outliers"
         gy = np.random.default_rng(36).standard_normal(y.shape)
         gw_trust = ql.backward(ctx, gy)[1]
@@ -119,7 +113,7 @@ class TestBackward:
         differs = gw_trust != gw_ste
         assert np.array_equal(np.flatnonzero(differs), np.flatnonzero(~ctx.mask_w & (gw_ste != 0)))
 
-    def test_finite_difference_through_ht_only_path(self, alpha_table):
+    def test_finite_difference_through_ht_only_path(self):
         rng = np.random.default_rng(37)
         x = rng.standard_normal((3, 8))
         w = rng.standard_normal((4, 8))
@@ -127,10 +121,10 @@ class TestBackward:
         cfg = QuantConfig(format="none", hadamard=True)
 
         def scalar(xv, wv):
-            y, _ = ql.forward(xv, wv, cfg, alpha_table)
+            y, _ = ql.forward(xv, wv, cfg)
             return float((y * probe).sum())
 
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         gx, gw = ql.backward(ctx, probe)
         h = 1e-5
         for arr, grad in ((x, gx), (w, gw)):
@@ -147,22 +141,22 @@ class TestBackward:
             denom = max(np.abs(fd).max(), 1e-12)
             assert np.abs(grad - fd).max() / denom < 1e-4
 
-    def test_masked_grad_matches_dense_ht_oracle_k16(self, alpha_table):
+    def test_masked_grad_matches_dense_ht_oracle_k16(self):
         rng = np.random.default_rng(38)
         x = rng.standard_normal((6, 16))
         w = rng.standard_normal((5, 16))
         cfg = QuantConfig(format="int4", hadamard=True)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         gy = rng.standard_normal(y.shape)
         gx, _ = ql.backward(ctx, gy)
         h16 = dense_sylvester(16)
         want = (ctx.mask_x * (gy @ ctx.w_hat_h)) @ h16.T
         assert np.abs(gx - want).max() < 1e-10
 
-    def test_linear_in_upstream_gradient(self, operands, alpha_table):
+    def test_linear_in_upstream_gradient(self, operands):
         x, w = operands
         cfg = QuantConfig(format="int4")
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         rng = np.random.default_rng(39)
         g1, g2 = rng.standard_normal(y.shape), rng.standard_normal(y.shape)
         a = 2.5
@@ -172,21 +166,21 @@ class TestBackward:
         assert np.allclose(gx_lhs, a * gx1 + gx2, rtol=1e-10, atol=1e-12)
         assert np.allclose(gw_lhs, a * gw1 + gw2, rtol=1e-10, atol=1e-12)
 
-    def test_gradient_flows_to_all_weights_with_ht(self, alpha_table):
+    def test_gradient_flows_to_all_weights_with_ht(self):
         # with HT on and at least one trusted coordinate per block, the
         # standard-domain weight gradient has no identically-zero rows
         rng = np.random.default_rng(40)
         x = rng.standard_normal((16, 32))
         w = rng.standard_normal((8, 32))
         cfg = QuantConfig(format="int2", hadamard=True)
-        y, ctx = ql.forward(x, w, cfg, alpha_table)
+        y, ctx = ql.forward(x, w, cfg)
         assert np.all(ctx.mask_w.sum(axis=1) > 0)
         _, gw = ql.backward(ctx, rng.standard_normal(y.shape))
         assert np.all(np.abs(gw).sum(axis=1) > 0)
 
-    def test_upstream_shape_check(self, operands, alpha_table):
+    def test_upstream_shape_check(self, operands):
         x, w = operands
-        _, ctx = ql.forward(x, w, QuantConfig(format="int4"), alpha_table)
+        _, ctx = ql.forward(x, w, QuantConfig(format="int4"))
         with pytest.raises(ValueError, match="upstream"):
             ql.backward(ctx, np.ones((3, 3)))
 
@@ -196,7 +190,7 @@ class TestBackward:
 
 
 class TestTapeIntegration:
-    def test_estimator_selection(self, operands, alpha_table):
+    def test_estimator_selection(self, operands):
         from trustquant import autodiff as ad
 
         x, w = operands
@@ -204,7 +198,7 @@ class TestTapeIntegration:
             cfg = QuantConfig(format="int2", hadamard=False, estimator=estimator)
             t = ad.Tape()
             nx, nw = t.leaf(x * 3), t.leaf(w * 3)
-            node, ctx = ql.qlinear(nx, nw, cfg, alpha_table)
+            node, ctx = ql.qlinear(nx, nw, cfg)
             t.backward(ad.sum_all(node))
             ref = (ql.backward if estimator == "trust" else ql.ste_backward)(
                 ctx, np.ones(node.value.shape)

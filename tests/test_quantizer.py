@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from trustquant.quantizer import (
     FP4_GRID,
-    AlphaTable,
     QuantConfig,
+    alpha_star,
     gaussian_grid_mse,
     project,
     quantize_uniform,
@@ -111,6 +111,12 @@ class TestQuantizeUniform:
         rebuilt = -1.5 + codes * (2 * 1.5 / levels)
         assert np.allclose(values, rebuilt)
 
+    def test_zero_d_input_gives_the_grid_value(self):
+        # grid {-1, -1/3, 1/3, 1}: 0.4 rounds to 1/3, index 2, as round_fp4 does for 0-d
+        assert quantize_uniform(np.array(0.4), 1.0, 2) == pytest.approx(1 / 3)
+        value, code = quantize_uniform_codes(np.array(0.4), 1.0, 2)
+        assert value == pytest.approx(1 / 3) and code == 2
+
     @given(st.integers(min_value=1, max_value=8), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_idempotent_and_odd(self, b, alpha):
@@ -125,32 +131,33 @@ class TestAlphaStar:
         assert abs(solve_alpha_star(1) - math.sqrt(2 / math.pi)) < 1e-4
 
     @pytest.mark.parametrize("key", [2, 3, 4, 5, 6, 7, 8, "fp4"])
-    def test_matches_exact_cell_oracle(self, key, alpha_table):
-        assert alpha_table.alpha(key) == pytest.approx(ORACLE_ALPHA[key], abs=5e-3)
+    def test_matches_exact_cell_oracle(self, key):
+        assert alpha_star(key) == pytest.approx(ORACLE_ALPHA[key], abs=5e-3)
 
     @pytest.mark.parametrize("key", [2, 3, 4, 5, 6, 7, 8, "fp4"])
-    def test_local_optimality_one_percent(self, key, alpha_table):
-        a = alpha_table.alpha(key)
+    def test_local_optimality_one_percent(self, key):
+        a = alpha_star(key)
         center = gaussian_grid_mse(a, key)
         assert center <= gaussian_grid_mse(a * 1.01, key)
         assert center <= gaussian_grid_mse(a * 0.99, key)
 
-    def test_fp4_mse_exceeds_int4(self, alpha_table):
-        assert alpha_table.mse("fp4") > alpha_table.mse(4)
+    def test_fp4_mse_exceeds_int4(self):
+        assert gaussian_grid_mse(alpha_star("fp4"), "fp4") > gaussian_grid_mse(alpha_star(4), 4)
         assert ORACLE_MSE["fp4"] > ORACLE_MSE[4]
 
-    def test_achieved_mse_matches_oracle(self, alpha_table):
+    def test_achieved_mse_matches_oracle(self):
         for key in (1, 2, 4, 8, "fp4"):
-            assert alpha_table.mse(key) == pytest.approx(ORACLE_MSE[key], rel=1e-3)
+            mse = gaussian_grid_mse(alpha_star(key), key)
+            assert mse == pytest.approx(ORACLE_MSE[key], rel=1e-3)
 
-    def test_monotone_increasing_from_b1(self, alpha_table):
-        alphas = [alpha_table.alpha(b) for b in range(1, 9)]
+    def test_monotone_increasing_from_b1(self):
+        alphas = [alpha_star(b) for b in range(1, 9)]
         assert all(a2 > a1 for a1, a2 in zip(alphas, alphas[1:]))
 
-    def test_exact_cell_oracle_agrees_with_simpson(self, alpha_table):
+    def test_exact_cell_oracle_agrees_with_simpson(self):
         # dual-route check on the objective itself
         for b in (2, 4, 8):
-            a = alpha_table.alpha(b)
+            a = alpha_star(b)
             assert gaussian_grid_mse(a, b) == pytest.approx(
                 exact_cell_mse(a, int_grid(a, b)), rel=1e-4
             )
@@ -223,28 +230,28 @@ class TestSparsify:
 
 
 class TestTrustMask:
-    def test_rule_arithmetic_b2(self, alpha_table):
+    def test_rule_arithmetic_b2(self):
         # the documented 0.4 -> 1/3 (trusted) and 1.5 -> 1 (untrusted) pair,
         # expressed at the fitted alpha: err and T both scale with alpha
-        alpha = alpha_table.alpha(2)
+        alpha = alpha_star(2)
         t = alpha / 3
         cfg = QuantConfig(format="int2")
         x = np.array([0.4 * alpha, 1.5 * alpha])
         xh = np.array([alpha / 3, alpha])
-        mask = trust_mask(x, xh, cfg, alpha_table)
+        mask = trust_mask(x, xh, cfg)
         assert mask.tolist() == [True, False]
         assert abs(xh[0] - x[0]) <= t
         assert abs(xh[1] - x[1]) > t
 
-    def test_outer_scale_widens_trust(self, alpha_table):
-        alpha = alpha_table.alpha(1)
+    def test_outer_scale_widens_trust(self):
+        alpha = alpha_star(1)
         x = np.array([alpha * 2.2])  # err = 1.2 alpha beyond the grid end
         xh = np.array([alpha])
         narrow = trust_mask(
-            x, xh, QuantConfig(format="int1", outer_trust_scale=1.0), alpha_table
+            x, xh, QuantConfig(format="int1", outer_trust_scale=1.0)
         )
         wide = trust_mask(
-            x, xh, QuantConfig(format="int1", outer_trust_scale=1.30), alpha_table
+            x, xh, QuantConfig(format="int1", outer_trust_scale=1.30)
         )
         assert not narrow[0] and wide[0]
 
@@ -254,100 +261,105 @@ class TestTrustMask:
         assert QuantConfig(format="int4").outer_trust_scale == 1.0
         assert QuantConfig(format="int1", outer_trust_scale=1.1).outer_trust_scale == 1.1
 
-    def test_untrusted_fraction_matches_normal_tail(self, alpha_table):
+    def test_untrusted_fraction_matches_normal_tail(self):
         # untrusted iff |x| > alpha + T for the uniform grid at s=1
         from trustquant.tensor import Rng
 
         cfg = QuantConfig(format="int4", hadamard=False)
         n = 1 << 18
         x = Rng(77).normal((n,), dtype=np.float64)
-        alpha = alpha_table.alpha(4)
+        alpha = alpha_star(4)
         t = alpha / 15
         xh = quantize_uniform(x, alpha, 4)
-        mask = trust_mask(x, xh, cfg, alpha_table)
+        mask = trust_mask(x, xh, cfg)
         frac = float(np.mean(~mask))
         expected = 2.0 * (1.0 - phi_cdf(alpha + t))
         assert frac == pytest.approx(expected, rel=0.2)
 
-    def test_shape_mismatch(self, alpha_table):
+    def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            trust_mask(np.ones(3), np.ones(4), QuantConfig(format="int4"), alpha_table)
+            trust_mask(np.ones(3), np.ones(4), QuantConfig(format="int4"))
 
 
 class TestProject:
-    def test_zero_group(self, alpha_table):
-        res = project(np.zeros((2, 8), dtype=np.float32), QuantConfig(format="int4"), alpha_table)
+    def test_zero_group(self):
+        res = project(np.zeros((2, 8), dtype=np.float32), QuantConfig(format="int4"))
         assert np.all(res.values == 0)
         assert np.all(res.trust_mask)
         assert np.all(res.scale == 0)
 
-    def test_b1_two_point_group(self, alpha_table):
-        res = project(np.array([[3.0, -3.0]]), QuantConfig(format="int1"), alpha_table)
+    def test_b1_two_point_group(self):
+        res = project(np.array([[3.0, -3.0]]), QuantConfig(format="int1"))
         want = 3.0 * math.sqrt(2 / math.pi)
         assert res.values[0, 0] == pytest.approx(want, rel=1e-6)
         assert res.values[0, 1] == pytest.approx(-want, rel=1e-6)
 
-    def test_scale_is_rms_times_alpha(self, alpha_table):
+    def test_scale_is_rms_times_alpha(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((4, 16))
         cfg = QuantConfig(format="int4")
-        res = project(x, cfg, alpha_table)
-        want = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True)) * alpha_table.alpha(4)
+        res = project(x, cfg)
+        want = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True)) * alpha_star(4)
         assert np.allclose(res.scale, want, rtol=1e-12)
 
-    def test_gaussian_empirical_mse_matches_oracle(self, alpha_table):
+    def test_gaussian_empirical_mse_matches_oracle(self):
         from trustquant.tensor import Rng
 
         x = Rng(4242).normal((1, 4096), dtype=np.float64)
-        res = project(x, QuantConfig(format="int4"), alpha_table)
+        res = project(x, QuantConfig(format="int4"))
         # compare in normalized coordinates (x/rms vs values/rms)
         r = float(np.sqrt(np.mean(np.square(x))))
         emp = float(np.mean(np.square(res.values / r - x / r)))
         assert emp == pytest.approx(ORACLE_MSE[4], rel=0.05)
 
-    def test_values_are_scaled_grid_points(self, alpha_table):
+    def test_values_are_scaled_grid_points(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((3, 8)).astype(np.float32)
-        res = project(x, QuantConfig(format="int4"), alpha_table, with_codes=True)
+        res = project(x, QuantConfig(format="int4"), with_codes=True)
         levels = 15
         rebuilt = res.scale * (2 * res.codes - levels) / levels
         assert np.allclose(res.values, rebuilt, rtol=1e-6, atol=1e-7)
 
-    def test_interior_always_trusted(self, alpha_table):
+    def test_interior_always_trusted(self):
         # untrusted entries must lie beyond alpha in normalized coordinates
         rng = np.random.default_rng(17)
         x = rng.standard_normal((8, 64))
         cfg = QuantConfig(format="int3")
-        res = project(x, cfg, alpha_table)
+        res = project(x, cfg)
         r = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True))
         x_norm = np.abs(x / r)
-        assert np.all(x_norm[~res.trust_mask] > alpha_table.alpha(3))
+        assert np.all(x_norm[~res.trust_mask] > alpha_star(3))
 
-    def test_sparse_format_masks(self, alpha_table):
+    def test_sparse_format_masks(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((4, 16)).astype(np.float32)
-        res = project(x, QuantConfig(format="int4-sparse-2of4"), alpha_table)
+        res = project(x, QuantConfig(format="int4-sparse-2of4"))
         assert res.sparsity_mask is not None
         kept = res.sparsity_mask.reshape(4, 4, 4).sum(axis=-1)
         assert np.all(kept == 2)
         nonzero = (res.values.reshape(4, 4, 4) != 0).sum(axis=-1)
         assert np.all(nonzero == 2)
 
-    def test_format_none_identity(self, alpha_table):
+    def test_format_none_identity(self):
         x = np.random.default_rng(19).standard_normal((2, 4))
-        res = project(x, QuantConfig(format="none"), alpha_table)
+        res = project(x, QuantConfig(format="none"))
         assert np.array_equal(res.values, x)
         assert np.all(res.trust_mask)
 
-    def test_grouped_projection(self, alpha_table):
+    def test_grouped_projection(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((2, 16))
         cfg = QuantConfig(format="int4", group_size=4)
-        res = project(x, cfg, alpha_table)
+        res = project(x, cfg)
         assert res.scale.shape == (2, 4)
         grp = x.reshape(2, 4, 4)
-        want = np.sqrt(np.mean(np.square(grp), axis=-1)) * alpha_table.alpha(4)
+        want = np.sqrt(np.mean(np.square(grp), axis=-1)) * alpha_star(4)
         assert np.allclose(res.scale, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["none", "int4"])
+    def test_zero_d_input_rejected(self, fmt):
+        with pytest.raises(ValueError, match="at least one axis"):
+            project(np.array(0.4), QuantConfig(format=fmt))
 
 
 # --- frozen reference: project as it was before the one-buffer pipeline -----
@@ -364,14 +376,14 @@ def reference_uniform_codes(x, alpha, b):
     return values, codes.astype(np.int64)
 
 
-def reference_trust_mask(x_norm, x_hat_norm, cfg, table):
-    alpha = table.alpha(cfg.grid_key)
+def reference_trust_mask(x_norm, x_hat_norm, cfg):
+    alpha = alpha_star(cfg.grid_key)
     half = alpha / 6.0 if cfg.format == "fp4" else alpha / ((1 << cfg.bits) - 1)
     t = np.where(np.abs(x_norm) <= alpha, half, cfg.outer_trust_scale * half)
     return np.abs(x_hat_norm - x_norm) <= t.astype(x_norm.dtype, copy=False)
 
 
-def reference_project(x, cfg, table, axis=-1, with_codes=False):
+def reference_project(x, cfg, axis=-1, with_codes=False):
     if cfg.format == "none":
         group_size = cfg.group_size or x.shape[axis]
         moved = np.moveaxis(x, axis, -1)
@@ -385,7 +397,7 @@ def reference_project(x, cfg, table, axis=-1, with_codes=False):
     r = np.sqrt(np.mean(np.square(grouped), axis=-1, keepdims=True))
     safe_r = np.where(r > 0, r, 1.0)
     x_norm = grouped / safe_r
-    alpha = table.alpha(cfg.grid_key)
+    alpha = alpha_star(cfg.grid_key)
     sparsity_mask = codes = None
     if cfg.format == "fp4":
         q_norm = round_fp4(x_norm, alpha)
@@ -398,7 +410,7 @@ def reference_project(x, cfg, table, axis=-1, with_codes=False):
         q_norm, code_arr = reference_uniform_codes(x_norm, alpha, cfg.bits)
         if with_codes:
             codes = code_arr
-    mask = reference_trust_mask(x_norm, q_norm, cfg, table)
+    mask = reference_trust_mask(x_norm, q_norm, cfg)
     values = q_norm * safe_r
     zero_group = np.broadcast_to(r == 0, grouped.shape)
     values = np.where(zero_group, 0.0, values).astype(x.dtype, copy=False)
@@ -427,13 +439,13 @@ class TestProjectOracle:
     @pytest.mark.parametrize("fmt", ["none", "fp4", "int4-sparse-2of4", *(f"int{b}" for b in range(1, 9))])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_bit_identical_to_reference(self, fmt, dtype, axis, alpha_table):
+    def test_bit_identical_to_reference(self, fmt, dtype, axis):
         x = oracle_input(dtype, axis)
         for group_size in (None, 4):
             cfg = QuantConfig(format=fmt, group_size=group_size)
             for with_codes in (False, True):
-                got = project(x, cfg, alpha_table, axis=axis, with_codes=with_codes)
-                want = reference_project(x, cfg, alpha_table, axis, with_codes)
+                got = project(x, cfg, axis=axis, with_codes=with_codes)
+                want = reference_project(x, cfg, axis, with_codes)
                 fields = (got.values, got.scale, got.trust_mask, got.sparsity_mask, got.codes)
                 for name, g, w in zip(("values", "scale", "trust_mask", "sparsity_mask", "codes"),
                                       fields, want):
@@ -444,27 +456,27 @@ class TestProjectOracle:
                     assert g.dtype == w.dtype and np.array_equal(g, w), where
         assert np.all(x == oracle_input(dtype, axis)), "input mutated"
 
-    def test_grid_exercises_outliers_and_zero_groups(self, alpha_table):
+    def test_grid_exercises_outliers_and_zero_groups(self):
         x = oracle_input(np.float32, 2)
-        assert not project(x, QuantConfig(format="int4"), alpha_table).trust_mask.all()
-        res = project(x, QuantConfig(format="int4", group_size=4), alpha_table)
+        assert not project(x, QuantConfig(format="int4")).trust_mask.all()
+        res = project(x, QuantConfig(format="int4", group_size=4))
         assert (res.scale == 0).sum() == 5  # a zero fiber of four groups, one lone group
 
 
 class TestDtypes:
     @pytest.mark.parametrize("fmt", ["fp4", "int1", "int4", "int4-sparse-2of4"])
-    def test_float32_stays_float32(self, fmt, alpha_table):
+    def test_float32_stays_float32(self, fmt):
         x = np.random.default_rng(21).standard_normal((4, 16)).astype(np.float32)
         cfg = QuantConfig(format=fmt)
-        assert trust_thresholds(x, cfg, alpha_table).dtype == np.float32
-        res = project(x, cfg, alpha_table)
+        assert trust_thresholds(x, cfg).dtype == np.float32
+        res = project(x, cfg)
         assert res.values.dtype == np.float32 and res.scale.dtype == np.float32
 
     @pytest.mark.parametrize("fmt", ["none", "fp4", "int4", "int4-sparse-2of4"])
-    def test_project_rejects_integer_input(self, fmt, alpha_table):
+    def test_project_rejects_integer_input(self, fmt):
         x = np.array([[3, -1, 2, 5, -4, 0, 1, -2]])
         with pytest.raises(TypeError, match="int64"):
-            project(x, QuantConfig(format=fmt), alpha_table)
+            project(x, QuantConfig(format=fmt))
 
     def test_rounding_rejects_integer_input(self):
         x = np.array([1, 0, -1])

@@ -3,10 +3,18 @@ import io
 import numpy as np
 import pytest
 
-from trustquant.tensor import Rng, load_tensor, rms, save_tensor
+from trustquant.quantizer import QuantConfig, project
+from trustquant.tensor import Rng, load_tensor, save_tensor
+
+
+def rms(x, axis=-1, group_size=None):
+    return project(x, QuantConfig(format="none", group_size=group_size), axis).scale
 
 
 class TestRms:
+    """The per-group RMS step, which `quantizer.project` owns: with format
+    "none" its scale is exactly the RMS of each group."""
+
     def test_whole_tensor_group(self):
         out = rms(np.array([3.0, 4.0]))
         assert out.shape == (1,)
