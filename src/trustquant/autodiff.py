@@ -200,8 +200,8 @@ def rmsnorm(a: Node, gain: Node, eps: float = 1e-6) -> Node:
 
 
 def cross_entropy_with_logits(logits: Node, targets: np.ndarray) -> Node:
-    """Mean token cross-entropy. logits (N, V), targets (N,) integer ids."""
-    x = logits.value
+    """Mean token cross-entropy. logits (..., V), targets (...) integer ids."""
+    x = logits.value.reshape(-1, logits.shape[-1])
     targets = np.asarray(targets).reshape(-1)
     n = x.shape[0]
     m = x.max(axis=-1, keepdims=True)
@@ -213,7 +213,7 @@ def cross_entropy_with_logits(logits: Node, targets: np.ndarray) -> Node:
     def backward(g):
         p = e / z
         p[np.arange(n), targets] -= 1.0
-        return ((float(g) / n) * p,)
+        return (((float(g) / n) * p).reshape(logits.shape),)
 
     return logits.tape.record(value, (logits,), backward)
 

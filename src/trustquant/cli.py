@@ -96,8 +96,7 @@ def cmd_align(args) -> int:
     model = load_checkpoint(args.checkpoint)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
     seed = _effective_seed(args)
-    stream = trainer.BatchStream(windows, args.batch_size, seed)
-    batches = [stream.next_batch() for _ in range(args.batches)]
+    batches = trainer.sample_batches(windows, args.batch_size, args.batches, seed)
     records = diagnostics.alignment_sweep(model, batches)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "alignment.csv")
@@ -112,19 +111,13 @@ def cmd_align(args) -> int:
 def cmd_mask_stats(args) -> int:
     model = load_checkpoint(args.checkpoint)
     seed = _effective_seed(args)
-    train_cfg = trainer.TrainConfig(
-        peak_lr=args.lr, total_steps=args.steps, batch_tokens=args.batch_tokens,
-        data_path=args.data, seed=seed,
-    )
+    train_cfg = trainer.TrainConfig(peak_lr=args.lr, total_steps=args.steps,
+                                    batch_tokens=args.batch_tokens, seed=seed)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
-    stream = trainer.BatchStream(windows, args.batch_tokens // model.cfg.max_seq_len, seed)
-    state = trainer.AdamWState()
 
     stats: list[diagnostics.MaskStats] = []
     previous: dict[str, np.ndarray] = {}
-    for step in range(args.steps):
-        _, _, trace = trainer.train_step(model, stream.next_batch(), state,
-                                         trainer.lr_at(step, train_cfg), train_cfg)
+    for step, _, _, _, trace in trainer.steps(model, train_cfg, windows):
         if step % args.interval == 0:
             for name, ctx in trace.layer_contexts.items():
                 persistence = (
@@ -187,7 +180,8 @@ def cmd_bench(args) -> int:
     shapes = packgemm.layer_shapes(args.hidden, batch=args.batch)
     rows = packgemm.bench(shapes, reps=args.reps, seed=_effective_seed(args))
     if args.out:
-        packgemm.write_bench_csv(args.out, rows)
+        with open(args.out, "w", newline="") as f:
+            packgemm.write_bench_csv(f, rows)
         print(f"wrote {args.out}")
     else:
         packgemm.write_bench_csv(sys.stdout, rows)
@@ -246,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batches", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--batches", type=_positive_int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_align)
 
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="dense vs quantize/pack/int-GEMM timings")
     p.add_argument("--hidden", type=int, default=2048)
     p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_bench)

@@ -63,6 +63,8 @@ def ht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Apply the orthonormal Hadamard transform along `axis`."""
     x = np.asarray(x)
     require_float(x, "Hadamard transform")
+    if x.ndim == 0:
+        raise ValueError("Hadamard transform needs at least one axis, got a 0-d array")
     axis = axis % x.ndim
     blocks = _blocks(x.shape[axis])
     out = np.empty(x.shape, dtype=x.dtype)

@@ -22,8 +22,6 @@ from .tensor import F32, Rng, load_tensor, read_exact, save_tensor
 
 _CKPT_MAGIC = b"QSTM"
 
-PROJECTION_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
-
 
 def pad_to_multiple(x: int, multiple: int = 256) -> int:
     return ((x + multiple - 1) // multiple) * multiple
@@ -87,21 +85,17 @@ class Model:
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
-        self._rope_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def is_norm_gain(self, name: str) -> bool:
         return name.endswith("norm")
 
-    def rope_tables(self, seq_len: int):
-        if seq_len not in self._rope_cache:
-            half = self.cfg.head_dim // 2
-            inv_freq = self.cfg.rope_base ** (-np.arange(half) * 2.0 / self.cfg.head_dim)
-            angles = np.arange(seq_len)[:, None] * inv_freq[None, :]
-            self._rope_cache[seq_len] = (
-                np.cos(angles).astype(F32),
-                np.sin(angles).astype(F32),
-            )
-        return self._rope_cache[seq_len]
+
+def rope_tables(cfg: ModelConfig, seq_len: int):
+    """Rotary (cos, sin) tables, seq_len x head_dim/2."""
+    half = cfg.head_dim // 2
+    inv_freq = cfg.rope_base ** (-np.arange(half) * 2.0 / cfg.head_dim)
+    angles = np.arange(seq_len)[:, None] * inv_freq[None, :]
+    return np.cos(angles).astype(F32), np.sin(angles).astype(F32)
 
 
 def build(cfg: ModelConfig, rng: Rng) -> Model:
@@ -148,14 +142,14 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
 
     h, nh, hd = cfg.hidden_size, cfg.num_heads, cfg.head_dim
     tape = ad.Tape()
-    trace = ForwardTrace()
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
-    cos, sin = model.rope_tables(seq)
+    trace = ForwardTrace(param_leaves=leaves)
+    cos, sin = rope_tables(cfg, seq)
     mask = _causal_mask(seq)
     scale = F32(1.0 / np.sqrt(hd))
 
-    def proj(x2d, name):
-        node, ctx = qlinear(x2d, leaves[name], quant)
+    def proj(x, name):
+        node, ctx = qlinear(x, leaves[name], quant)
         trace.layer_contexts[name] = ctx
         return node
 
@@ -163,33 +157,30 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
     for b in range(cfg.num_blocks):
         p = f"block{b}."
         a = ad.rmsnorm(x, leaves[p + "attn_norm"])
-        a2d = ad.reshape(a, (batch * seq, h))
-        q = ad.reshape(proj(a2d, p + "wq"), (batch, seq, nh, hd))
-        k = ad.reshape(proj(a2d, p + "wk"), (batch, seq, nh, hd))
-        v = ad.reshape(proj(a2d, p + "wv"), (batch, seq, nh, hd))
+        q = ad.reshape(proj(a, p + "wq"), (batch, seq, nh, hd))
+        k = ad.reshape(proj(a, p + "wk"), (batch, seq, nh, hd))
+        v = ad.reshape(proj(a, p + "wv"), (batch, seq, nh, hd))
         q = ad.rotary(ad.transpose(q, (0, 2, 1, 3)), cos, sin)  # (B, nh, S, hd)
         k = ad.rotary(ad.transpose(k, (0, 2, 1, 3)), cos, sin)
         v = ad.transpose(v, (0, 2, 1, 3))
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         probs = ad.softmax(ad.add(scores, mask))
         ctxv = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))  # (B, S, nh, hd)
-        o = proj(ad.reshape(ctxv, (batch * seq, h)), p + "wo")
-        x = ad.add(x, ad.reshape(o, (batch, seq, h)))
+        o = proj(ad.reshape(ctxv, (batch, seq, h)), p + "wo")
+        x = ad.add(x, o)
 
         m = ad.rmsnorm(x, leaves[p + "mlp_norm"])
-        m2d = ad.reshape(m, (batch * seq, h))
-        gate = proj(m2d, p + "w_gate")
-        up = proj(m2d, p + "w_up")
+        gate = proj(m, p + "w_gate")
+        up = proj(m, p + "w_up")
         act = ad.mul(ad.silu(gate), up)
         down = proj(act, p + "w_down")
-        x = ad.add(x, ad.reshape(down, (batch, seq, h)))
+        x = ad.add(x, down)
         trace.block_outputs.append(x)
 
     final = ad.rmsnorm(x, leaves["final_norm"])
     logits = ad.matmul(
         ad.reshape(final, (batch * seq, h)), ad.transpose(leaves["head"], (1, 0))
     )
-    trace.param_leaves = leaves
     return ad.reshape(logits, (batch, seq, cfg.vocab_size)), tape, trace
 
 
@@ -204,9 +195,7 @@ def forward_loss(model: Model, tokens: np.ndarray, quant: QuantConfig | None = N
         raise ValueError("token batch must be (batch, window>=2)")
     inputs, targets = tokens[:, :-1], tokens[:, 1:]
     logits, tape, trace = forward_logits(model, inputs, quant)
-    batch, seq = inputs.shape
-    flat = ad.reshape(logits, (batch * seq, model.cfg.vocab_size))
-    loss = ad.cross_entropy_with_logits(flat, targets.reshape(-1))
+    loss = ad.cross_entropy_with_logits(logits, targets)
     return loss, tape, trace
 
 

@@ -146,13 +146,13 @@ def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:
     return rows
 
 
-def write_bench_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["shape", "dense_ms", "quant_pack_ms", "ht_ms",
-                           "int_gemm_ms", "speedup"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: f"{v:.4f}" if isinstance(v, float) else v
-                             for k, v in row.items()})
+def write_bench_csv(out, rows: list[dict]) -> None:
+    """Write the bench rows as CSV to the open text stream `out`."""
+    writer = csv.DictWriter(
+        out, fieldnames=["shape", "dense_ms", "quant_pack_ms", "ht_ms",
+                         "int_gemm_ms", "speedup"]
+    )
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: f"{v:.4f}" if isinstance(v, float) else v
+                         for k, v in row.items()})

@@ -2,7 +2,8 @@
 
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
 y = x_hat_h @ w_hat_h^T. The transform runs along the shared inner axis k, so
-its length comes from the operands. The context carries exactly what the
+its length comes from the operands; the tape op `qlinear` takes x as (..., k)
+and keeps its leading axes. The context carries exactly what the
 backward needs: y's operands x_hat_h and w_hat_h, the two trust masks, and
 whether the layer ran the transform.
 
@@ -76,17 +77,19 @@ def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig):
     return y, ctx
 
 
-def _estimate(ctx: QLinearContext, grad_y: np.ndarray, mask_x, mask_w):
+def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):
+    if ctx is None:
+        raise ValueError("missing qlinear context")
     if grad_y.shape != (ctx.x_hat_h.shape[0], ctx.w_hat_h.shape[0]):
         raise ValueError(
             f"upstream gradient shape {grad_y.shape} does not match "
             f"y shape {(ctx.x_hat_h.shape[0], ctx.w_hat_h.shape[0])}"
         )
-    grad_x_hat = grad_y @ ctx.w_hat_h
-    grad_w_hat = grad_y.T @ ctx.x_hat_h
-    # bool multiply zeroes masked coordinates exactly
-    grad_x = grad_x_hat if mask_x is True else grad_x_hat * mask_x
-    grad_w = grad_w_hat if mask_w is True else grad_w_hat * mask_w
+    grad_x = grad_y @ ctx.w_hat_h
+    grad_w = grad_y.T @ ctx.x_hat_h
+    if masked:  # bool multiply zeroes masked coordinates exactly
+        grad_x *= ctx.mask_x
+        grad_w *= ctx.mask_w
     if ctx.hadamard:
         grad_x = iht(grad_x, axis=1)
         grad_w = iht(grad_w, axis=1)
@@ -95,24 +98,25 @@ def _estimate(ctx: QLinearContext, grad_y: np.ndarray, mask_x, mask_w):
 
 def backward(ctx: QLinearContext, grad_y: np.ndarray):
     """Trust-estimator backward: masked in the transform domain, then IHT."""
-    if ctx is None:
-        raise ValueError("missing qlinear context")
-    return _estimate(ctx, grad_y, ctx.mask_x, ctx.mask_w)
+    return _estimate(ctx, grad_y, masked=True)
 
 
 def ste_backward(ctx: QLinearContext, grad_y: np.ndarray):
     """Straight-through backward: as backward with masks forced all-true."""
-    if ctx is None:
-        raise ValueError("missing qlinear context")
-    return _estimate(ctx, grad_y, True, True)
+    return _estimate(ctx, grad_y, masked=False)
 
 
 def qlinear(x: Node, w: Node, cfg: QuantConfig):
     """Tape registration of the layer; backward follows cfg.estimator.
 
-    Returns (output node, context).
+    x is (..., k) and y is (..., n). Returns (output node, context).
     """
-    y, ctx = forward(x.value, w.value, cfg)
+    y, ctx = forward(x.value.reshape((-1,) + x.shape[-1:]), w.value, cfg)
     estimator = backward if cfg.estimator == "trust" else ste_backward
-    node = x.tape.record(y, (x, w), lambda g: estimator(ctx, g))
+
+    def backward_fn(g):
+        grad_x, grad_w = estimator(ctx, g.reshape(y.shape))
+        return grad_x.reshape(x.shape), grad_w
+
+    node = x.tape.record(y.reshape(x.shape[:-1] + y.shape[1:]), (x, w), backward_fn)
     return node, ctx

@@ -150,6 +150,8 @@ def sparsify_2of4(x: np.ndarray, axis: int = -1):
     Ties break toward the lower index. Returns (values, keep_mask).
     """
     x = np.asarray(x)
+    if x.ndim == 0:
+        raise ValueError("2:4 sparsification needs at least one axis, got a 0-d array")
     axis = axis % x.ndim
     extent = x.shape[axis]
     if extent % 4 != 0:

@@ -137,14 +137,14 @@ def _nelder_mead_batch(objective, starts: np.ndarray, *, xatol: float = 1e-8,
     fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
 
     active = np.ones(n_start, dtype=bool)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):  # the last pass only sorts
         order = np.argsort(fvals, axis=1, kind="stable")
         fvals = np.take_along_axis(fvals, order, axis=1)
         pts = np.take_along_axis(pts, order[:, :, None], axis=1)
 
         diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
         active &= diam >= xatol
-        if not active.any():
+        if it == max_iter or not active.any():
             break
 
         idx = np.flatnonzero(active)
@@ -203,9 +203,6 @@ def _nelder_mead_batch(objective, starts: np.ndarray, *, xatol: float = 1e-8,
             flat = pts[rows, 1:, :].reshape(-1, dim)
             fvals[rows, 1:] = objective(flat).reshape(len(rows), dim)
 
-    order = np.argsort(fvals, axis=1, kind="stable")
-    fvals = np.take_along_axis(fvals, order, axis=1)
-    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
     return pts[:, 0, :], fvals[:, 0]
 
 

@@ -213,6 +213,24 @@ def train_step(model: Model, batch: np.ndarray, state: AdamWState, lr: float,
     return loss_val, grad_norm, trace
 
 
+def steps(model: Model, cfg: TrainConfig, windows: np.ndarray):
+    """The training loop: cfg.total_steps optimizer steps on seeded batches
+    of `windows`. Yields (step, lr, loss, pre-clip grad norm, forward trace)
+    after each update; TrainingDiverged propagates from the failing step."""
+    stream = BatchStream(windows, cfg.batch_tokens // model.cfg.max_seq_len, cfg.seed)
+    state = AdamWState()
+    for step in range(cfg.total_steps):
+        lr = lr_at(step, cfg)
+        loss, grad_norm, trace = train_step(model, stream.next_batch(), state, lr, cfg)
+        yield step, lr, loss, grad_norm, trace
+
+
+def sample_batches(windows: np.ndarray, batch_size: int, count: int, seed: int) -> list:
+    """The first `count` batches of a seeded BatchStream over `windows`."""
+    stream = BatchStream(windows, batch_size, seed)
+    return [stream.next_batch() for _ in range(count)]
+
+
 def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     """Run the loop; emits metrics.jsonl and model.ckpt under out_dir.
 
@@ -220,43 +238,34 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     the last good checkpoint saved.
     """
     os.makedirs(out_dir, exist_ok=True)
-    seq_len = model.cfg.max_seq_len
-    windows = ingest(cfg.data_path, seq_len)
-    stream = BatchStream(windows, cfg.batch_tokens // seq_len, cfg.seed)
-    eval_batch = windows[: min(len(windows), 8)]
-
-    state = AdamWState()
+    windows = ingest(cfg.data_path, model.cfg.max_seq_len)
+    eval_batch = windows[:8]
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     records = []
 
     with open(metrics_path, "w") as out:
-        for step in range(cfg.total_steps):
-            lr = lr_at(step, cfg)
-            try:
-                loss_val, grad_norm, trace = train_step(
-                    model, stream.next_batch(), state, lr, cfg
-                )
-            except TrainingDiverged as err:
-                save_checkpoint(model, ckpt_path)
-                raise TrainingDiverged(
-                    f"loss diverged at step {step}; last good checkpoint at {ckpt_path}"
-                ) from err
-
-            record = {
-                "step": step,
-                "lr": lr,
-                "loss": loss_val,
-                "grad_norm": grad_norm,
-                "untrusted_fraction": {
-                    name: mask_fraction(ctx.mask_w)
-                    for name, ctx in trace.layer_contexts.items()
-                },
-            }
-            if cfg.eval_interval and (step + 1) % cfg.eval_interval == 0:
-                record["eval_loss"] = eval_loss(model, eval_batch)
-            records.append(record)
-            out.write(json.dumps(record) + "\n")
+        try:
+            for step, lr, loss_val, grad_norm, trace in steps(model, cfg, windows):
+                record = {
+                    "step": step,
+                    "lr": lr,
+                    "loss": loss_val,
+                    "grad_norm": grad_norm,
+                    "untrusted_fraction": {
+                        name: mask_fraction(ctx.mask_w)
+                        for name, ctx in trace.layer_contexts.items()
+                    },
+                }
+                if cfg.eval_interval and (step + 1) % cfg.eval_interval == 0:
+                    record["eval_loss"] = eval_loss(model, eval_batch)
+                records.append(record)
+                out.write(json.dumps(record) + "\n")
+        except TrainingDiverged as err:
+            save_checkpoint(model, ckpt_path)
+            raise TrainingDiverged(  # one record per finished step
+                f"loss diverged at step {len(records)}; last good checkpoint at {ckpt_path}"
+            ) from err
 
     save_checkpoint(model, ckpt_path)
     return records

@@ -248,6 +248,24 @@ class TestPrimitiveGradients:
         fd = finite_difference(run, [logits.copy()])
         assert rel_err(n.grad, fd[0]) < 1e-4
 
+    def test_cross_entropy_leading_axes_match_flattened_call(self):
+        rng = np.random.default_rng(26)
+        logits = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        targets = rng.integers(0, 5, (3, 4))
+
+        def run(x, tg):
+            t = ad.Tape()
+            n = t.leaf(x)
+            loss = ad.cross_entropy_with_logits(n, tg)
+            t.backward(loss)
+            return loss.value, n.grad
+
+        loss3, grad3 = run(logits, targets)
+        loss2, grad2 = run(logits.reshape(12, 5), targets.reshape(12))
+        assert loss3.tobytes() == loss2.tobytes()
+        assert grad3.shape == logits.shape
+        assert grad3.tobytes() == grad2.tobytes()
+
     def test_embedding_gather_gradient(self):
         rng = np.random.default_rng(26)
         table = rng.standard_normal((10, 4))

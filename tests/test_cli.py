@@ -160,11 +160,15 @@ class TestDiagnosticsCommands:
         assert len(lines) == 1 + 2 * 7  # 2 samples x 7 layers (1 block)
 
 
-    @pytest.mark.parametrize("flag", ["--steps", "--interval"])
-    def test_mask_stats_rejects_counts_below_one(self, flag, tmp_path):
-        proc = run_cli(["mask-stats", "--checkpoint", str(tmp_path / "missing.ckpt"),
-                        "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path),
-                        flag, "0"])
+    @pytest.mark.parametrize("command,flag", [
+        ("mask-stats", "--steps"), ("mask-stats", "--interval"), ("bench", "--reps"),
+        ("align", "--batches"), ("align", "--batch-size"),
+    ], ids=["--steps", "--interval", "bench--reps", "align--batches", "align--batch-size"])
+    def test_mask_stats_rejects_counts_below_one(self, command, flag, tmp_path):
+        paths = [] if command == "bench" else [
+            "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path)]
+        proc = run_cli([command, *paths, flag, "0"])
         assert proc.returncode != 0
         assert flag in proc.stderr and "must be at least 1" in proc.stderr
 
@@ -174,6 +178,12 @@ class TestBench:
         assert main(["bench", "--hidden", "128", "--batch", "16", "--reps", "2",
                      "--out", str(tmp_path / "bench.csv")]) == 0
         lines = (tmp_path / "bench.csv").read_text().splitlines()
+        assert lines[0] == "shape,dense_ms,quant_pack_ms,ht_ms,int_gemm_ms,speedup"
+        assert len(lines) == 8  # 7 layers
+
+    def test_csv_to_stdout_without_out(self, capsys):
+        assert main(["bench", "--hidden", "128", "--batch", "16", "--reps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "shape,dense_ms,quant_pack_ms,ht_ms,int_gemm_ms,speedup"
         assert len(lines) == 8  # 7 layers
 

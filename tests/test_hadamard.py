@@ -80,6 +80,11 @@ class TestTransform:
         with pytest.raises(ValueError, match="positive"):
             ht(np.ones((3, 0)), axis=1)
 
+    @pytest.mark.parametrize("fn", [ht, iht])
+    def test_zero_d_input_rejected(self, fn):
+        with pytest.raises(ValueError, match="at least one axis"):
+            fn(np.array(0.4))
+
     def test_axis_argument(self):
         x = np.random.default_rng(3).standard_normal((4, 8, 3))
         out = ht(x, axis=1)

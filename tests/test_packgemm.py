@@ -115,7 +115,8 @@ class TestBench:
         for col in ("dense_ms", "quant_pack_ms", "ht_ms", "int_gemm_ms", "speedup"):
             assert row[col] >= 0
         path = tmp_path / "bench.csv"
-        write_bench_csv(path, rows)
+        with open(path, "w", newline="") as f:
+            write_bench_csv(f, rows)
         header = path.read_text().splitlines()[0]
         assert header == "shape,dense_ms,quant_pack_ms,ht_ms,int_gemm_ms,speedup"
 

@@ -205,3 +205,27 @@ class TestTapeIntegration:
             )
             assert np.array_equal(nx.grad, ref[0])
             assert np.array_equal(nw.grad, ref[1])
+
+    @pytest.mark.parametrize("estimator", ["trust", "ste"])
+    def test_leading_axes_match_flattened_call(self, estimator):
+        from trustquant import autodiff as ad
+
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((3, 5, 16)).astype(np.float32)
+        w = rng.standard_normal((10, 16)).astype(np.float32)
+        upstream = rng.standard_normal((3, 5, 10)).astype(np.float32)
+        cfg = QuantConfig(format="int4", estimator=estimator)
+
+        def run(xv, gv):
+            t = ad.Tape()
+            nx, nw = t.leaf(xv), t.leaf(w)
+            node, _ = ql.qlinear(nx, nw, cfg)
+            t.backward(ad.sum_all(ad.mul(node, gv)))
+            return node.value, nx.grad, nw.grad
+
+        y3, gx3, gw3 = run(x, upstream)
+        y2, gx2, gw2 = run(x.reshape(15, 16), upstream.reshape(15, 10))
+        assert y3.shape == (3, 5, 10) and gx3.shape == x.shape
+        assert y3.tobytes() == y2.tobytes()
+        assert gx3.tobytes() == gx2.tobytes()
+        assert gw3.tobytes() == gw2.tobytes()

@@ -228,6 +228,10 @@ class TestSparsify:
         with pytest.raises(ValueError):
             sparsify_2of4(np.ones(6))
 
+    def test_zero_d_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one axis"):
+            sparsify_2of4(np.array(0.4))
+
 
 class TestTrustMask:
     def test_rule_arithmetic_b2(self):

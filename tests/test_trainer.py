@@ -21,6 +21,7 @@ from trustquant.trainer import (
     lr_at,
     peak_lr_for,
     plan_tokens,
+    steps,
     train,
 )
 
@@ -254,6 +255,19 @@ class TestTrainStep:
         assert [r["loss"] for r in records] == ref_losses
         for name, p in ref_model.params.items():
             assert p.tobytes() == model.params[name].tobytes(), name
+
+    def test_steps_follow_schedule_and_match_train(self, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=10)
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=6, batch_tokens=128,
+                           data_path=str(corpus), seed=21)
+        model = int4_model()
+        yielded = list(steps(model, tcfg, ingest(tcfg.data_path, model.cfg.max_seq_len)))
+        assert [s for s, *_ in yielded] == list(range(tcfg.total_steps))
+        assert all(lr == lr_at(s, tcfg) for s, lr, *_ in yielded)
+        train(int4_model(), tcfg, tmp_path / "out")
+        rows = [json.loads(line)
+                for line in (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()]
+        assert [loss for _, _, loss, _, _ in yielded] == [r["loss"] for r in rows]
 
     def test_divergence_saves_checkpoint_and_applies_no_update(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=9)
