@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .tensor import require_float
+from .tensor import check_axis, require_float
 
 
 @functools.cache
@@ -63,9 +63,7 @@ def ht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Apply the orthonormal Hadamard transform along `axis`."""
     x = np.asarray(x)
     require_float(x, "Hadamard transform")
-    if x.ndim == 0:
-        raise ValueError("Hadamard transform needs at least one axis, got a 0-d array")
-    axis = axis % x.ndim
+    axis = check_axis(x, axis, "Hadamard transform")
     blocks = _blocks(x.shape[axis])
     out = np.empty(x.shape, dtype=x.dtype)
     src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)

@@ -4,13 +4,19 @@ Every projection (q/k/v/o, gate/up/down) runs through the quantized linear
 layer; embedding, output head, and normalization gains are never quantized.
 The MLP intermediate width is 8/3 of the hidden size padded up to a multiple
 of 256. Byte-level vocabulary (256) by default.
+
+A checkpoint is one numpy .npz whose first member, "config", holds the
+ModelConfig JSON as a 0-d string array, then every parameter in
+`Model.params` order; zip's CRC-32 covers each member's payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import struct
+import os
+import tokenize
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .qlinear import qlinear
 from .quantizer import QuantConfig
-from .tensor import F32, Rng, load_tensor, read_exact, save_tensor
+from .tensor import F32, Rng
 
-_CKPT_MAGIC = b"QSTM"
+_CONFIG = "config"  # the checkpoint member that holds the ModelConfig JSON
 
 
 def pad_to_multiple(x: int, multiple: int = 256) -> int:
@@ -202,29 +208,24 @@ def forward_loss(model: Model, tokens: np.ndarray, quant: QuantConfig | None = N
 # --- checkpoint io ------------------------------------------------------------
 
 def save_checkpoint(model: Model, path) -> None:
-    header = model.cfg.to_json().encode()
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(struct.pack("<I", len(model.params)))
-        for name, arr in model.params.items():
-            encoded = name.encode()
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            save_tensor(f, arr)
+    """Write `model` to `path`.tmp, then move it over `path` once complete
+    and synced, so a failed write leaves the previous file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:  # given a path, np.savez would append ".npz"
+        np.savez(f, **{_CONFIG: np.array(model.cfg.to_json())}, **model.params)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"not a model checkpoint: {path}")
-        (header_len,) = struct.unpack("<I", read_exact(f, 4, "header length", "checkpoint"))
-        cfg = ModelConfig.from_json(read_exact(f, header_len, "header", "checkpoint").decode())
-        (count,) = struct.unpack("<I", read_exact(f, 4, "parameter count", "checkpoint"))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length", "checkpoint"))
-            name = read_exact(f, name_len, "name", "checkpoint").decode()
-            params[name] = load_tensor(f)
+    """Read a checkpoint written by save_checkpoint. OSError if `path` cannot
+    be read; ValueError for a file that does not decode as a checkpoint."""
+    try:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
+            cfg = ModelConfig.from_json(str(npz[_CONFIG]))
+            params = {name: npz[name] for name in npz.files if name != _CONFIG}
+    except (EOFError, KeyError, NotImplementedError, SyntaxError, ValueError,
+            tokenize.TokenError, zipfile.BadZipFile) as err:
+        raise ValueError(f"not a model checkpoint: {path} ({err})") from err
     return Model(cfg, params)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import require_float
+from .tensor import check_axis, require_float
 
 FP4_POINTS = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]) / 6.0
 FP4_GRID = np.sort(np.concatenate([-FP4_POINTS[1:], FP4_POINTS]))  # 15 points
@@ -42,7 +42,7 @@ class QuantConfig:
         (None = one group per row). Must divide the grouped extent.
     hadamard: transform operands before fitting the grid.
     outer_trust_scale: s multiplying the trust threshold beyond +-alpha*;
-        None picks the sweep default (1.30/1.25 for 1-bit, else 1.0).
+        None follows the sweep default, see `trust_scale`.
     weight_only: leave activations unquantized.
     estimator: backward rule, "trust" (masked) or "ste".
     """
@@ -50,18 +50,14 @@ class QuantConfig:
     format: str = "none"
     group_size: int | None = None
     hadamard: bool = True
-    outer_trust_scale: float | None = None  # None resolves to the sweep default
+    outer_trust_scale: float | None = None
     weight_only: bool = False
     estimator: str = "trust"
 
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.outer_trust_scale is None:
-            self.outer_trust_scale = default_outer_trust_scale(
-                self.bits or 0, self.hadamard
-            )
-        if self.outer_trust_scale <= 0:
+        if self.outer_trust_scale is not None and self.outer_trust_scale <= 0:
             raise ValueError("outer_trust_scale must be positive")
         if self.estimator not in ("trust", "ste"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
@@ -75,18 +71,21 @@ class QuantConfig:
         return None
 
     @property
+    def trust_scale(self) -> float:
+        """outer_trust_scale if given, else the sweep default for the current
+        format and transform: 1.30 / 1.25 (no HT) for 1-bit, else 1."""
+        if self.outer_trust_scale is not None:
+            return self.outer_trust_scale
+        if self.bits == 1:
+            return 1.30 if self.hadamard else 1.25
+        return 1.0
+
+    @property
     def grid_key(self):
         """Key of the grid's alpha*: bit-width for INT grids, "fp4" for FP4."""
         if self.format == "fp4":
             return "fp4"
         return self.bits
-
-
-def default_outer_trust_scale(bits: int, hadamard: bool) -> float:
-    """Sweep-determined outer-trust scale: 1.30 / 1.25 for 1-bit, else 1."""
-    if bits == 1:
-        return 1.30 if hadamard else 1.25
-    return 1.0
 
 
 def quantize_uniform(x: np.ndarray, alpha: float, b: int) -> np.ndarray:
@@ -150,9 +149,7 @@ def sparsify_2of4(x: np.ndarray, axis: int = -1):
     Ties break toward the lower index. Returns (values, keep_mask).
     """
     x = np.asarray(x)
-    if x.ndim == 0:
-        raise ValueError("2:4 sparsification needs at least one axis, got a 0-d array")
-    axis = axis % x.ndim
+    axis = check_axis(x, axis, "2:4 sparsification")
     extent = x.shape[axis]
     if extent % 4 != 0:
         raise ValueError(f"axis extent {extent} is not divisible by 4")
@@ -257,7 +254,7 @@ def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig) -> np.ndarray:
         half = alpha / 6.0
     else:
         half = alpha / ((1 << cfg.bits) - 1)
-    inner, outer = x_norm.dtype.type(half), x_norm.dtype.type(cfg.outer_trust_scale * half)
+    inner, outer = x_norm.dtype.type(half), x_norm.dtype.type(cfg.trust_scale * half)
     if inner == outer:
         return np.broadcast_to(inner, x_norm.shape)
     return np.where(np.abs(x_norm) <= alpha, inner, outer)
@@ -293,9 +290,7 @@ def project(
     """
     x = np.asarray(x)
     require_float(x, "projection")
-    if x.ndim == 0:
-        raise ValueError("projection needs at least one axis, got a 0-d array")
-    axis = axis % x.ndim
+    axis = check_axis(x, axis, "projection")
     grouped = _group_shape(x, axis, cfg.group_size or x.shape[axis])
     x_norm = np.square(grouped)
     r = np.sqrt(np.mean(x_norm, axis=-1, keepdims=True))

@@ -1,4 +1,4 @@
-"""Dense tensor primitives, deterministic RNG, and tensor serialization.
+"""Dense tensor conventions, shared input checks, and the deterministic RNG.
 
 Tensors are contiguous row-major numpy arrays in float32 (training math) or
 float64 (oracle / gradient-check paths). Transposition is always explicit.
@@ -8,23 +8,24 @@ fixed-fan-in tree, so results are reproducible for a fixed operand order.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 F32 = np.float32
-F64 = np.float64
-
-_MAGIC = b"QSTT"
-_VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 def require_float(x: np.ndarray, what: str) -> None:
     """Raise TypeError naming the dtype unless `x` is floating-point."""
     if not np.issubdtype(x.dtype, np.floating):
         raise TypeError(f"{what} needs floating-point input, got dtype {x.dtype}")
+
+
+def check_axis(x: np.ndarray, axis: int, what: str) -> int:
+    """`axis` as an index in [0, x.ndim); ValueError if it is out of range."""
+    if x.ndim == 0:
+        raise ValueError(f"{what} needs at least one axis, got a 0-d array")
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"{what}: axis {axis} is out of range for a {x.ndim}-d array")
+    return axis % x.ndim
 
 
 # --- deterministic counter-based RNG ---------------------------------------
@@ -88,43 +89,3 @@ class Rng:
         out = (low + np.floor(u * (high - low))).astype(np.int64)
         return out.reshape(shape) if shape else out[0]
 
-
-# --- serialization ----------------------------------------------------------
-
-def save_tensor(f, x: np.ndarray) -> None:
-    """Write one tensor record: magic, version u32, rank u32, extents u64[],
-    dtype tag u8, raw little-endian payload."""
-    x = np.ascontiguousarray(x)
-    if x.dtype not in _DTYPE_TAGS:
-        raise ValueError(f"unsupported dtype {x.dtype}")
-    f.write(_MAGIC)
-    f.write(struct.pack("<II", _VERSION, x.ndim))
-    f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-    f.write(struct.pack("<B", _DTYPE_TAGS[x.dtype]))
-    f.write(x.astype(x.dtype.newbyteorder("<")).tobytes())
-
-
-def read_exact(f, n: int, what: str, record: str = "tensor record") -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated {record}: {what} needs {n} bytes, got {len(data)}")
-    return data
-
-
-def load_tensor(f) -> np.ndarray:
-    """Read one record written by save_tensor; ValueError on a short read
-    or an unknown dtype tag."""
-    magic = read_exact(f, 4, "magic")
-    if magic != _MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}")
-    version, rank = struct.unpack("<II", read_exact(f, 8, "version and rank"))
-    if version != _VERSION:
-        raise ValueError(f"unsupported tensor version {version}")
-    shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, "shape"))
-    (tag,) = struct.unpack("<B", read_exact(f, 1, "dtype tag"))
-    if tag not in _TAG_DTYPES:
-        raise ValueError(f"unknown tensor dtype tag {tag}")
-    dtype = _TAG_DTYPES[tag].newbyteorder("<")
-    count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(read_exact(f, count * dtype.itemsize, "payload"), dtype=dtype)
-    return data.reshape(shape).astype(_TAG_DTYPES[tag])

@@ -30,7 +30,6 @@ LR_ANCHORS = {
     430e6: 1.5e-4,
     800e6: 7.5e-5,
 }
-TOKENS_PER_PARAM = 100
 
 
 class TrainerError(RuntimeError):
@@ -73,11 +72,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
         return cfg.peak_lr * step / warm
     progress = (step - warm) / (cfg.total_steps - warm)
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def plan_tokens(n_params: int, ratio: float = TOKENS_PER_PARAM) -> int:
-    """Token budget for a run: ratio x the non-embedding parameter count."""
-    return int(ratio * n_params)
 
 
 def peak_lr_for(n_params: float) -> float:
@@ -164,8 +158,10 @@ class BatchStream:
     """Cycles over windows in a seeded shuffled order, epoch by epoch."""
 
     def __init__(self, windows: np.ndarray, batch_size: int, seed: int):
+        if not 1 <= batch_size <= len(windows):
+            raise ValueError(f"batch size {batch_size} is not between 1 and {len(windows)} windows")
         self.windows = windows
-        self.batch_size = max(1, batch_size)
+        self.batch_size = batch_size
         self.rng = Rng(seed)
         self._order = self.rng.permutation(len(windows))
         self._pos = 0

@@ -85,6 +85,12 @@ class TestTransform:
         with pytest.raises(ValueError, match="at least one axis"):
             fn(np.array(0.4))
 
+    @pytest.mark.parametrize("fn", [ht, iht])
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_out_of_range_axis_rejected(self, fn, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is out of range for a 2-d array"):
+            fn(np.ones((4, 8)), axis=axis)
+
     def test_axis_argument(self):
         x = np.random.default_rng(3).standard_normal((4, 8, 3))
         out = ht(x, axis=1)

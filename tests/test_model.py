@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -195,15 +197,22 @@ class TestGradients:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cfg = tiny_cfg(quant=QuantConfig(format="int4", outer_trust_scale=1.1))
-        model = build(cfg, Rng(23))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        back = load_checkpoint(path)
-        assert back.cfg == cfg
-        assert set(back.params) == set(model.params)
-        for name in model.params:
-            assert np.array_equal(back.params[name], model.params[name])
+        # an unset outer trust scale stays unset, so its default still follows the format
+        for quant in [QuantConfig(format="int4", outer_trust_scale=1.1),
+                      QuantConfig(format="int1")]:
+            cfg = tiny_cfg(quant=quant)
+            model = build(cfg, Rng(23))
+            save_checkpoint(model, path)
+            assert not (tmp_path / "model.ckpt.tmp").exists()
+            back = load_checkpoint(path)
+            assert back.cfg == cfg
+            assert list(back.params) == list(model.params)
+            for name, want in model.params.items():
+                got = back.params[name]
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable  # training continues from a loaded model
 
     def test_truncation_at_every_offset_raises_value_error(self, tmp_path):
         # the small tensors only, so every field kind is cut without a 30 kB file
@@ -220,15 +229,79 @@ class TestCheckpoint:
                 load_checkpoint(cut_path)
             assert type(err.value) is ValueError, f"cut at {cut}: {err.value!r}"
 
-    def test_truncated_field_is_named(self, tmp_path):
+    def test_flipped_payload_byte_raises_value_error(self, tmp_path):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
+        # distinct values everywhere, so each payload occurs once in the file
+        params = {name: Rng(i).normal(p.shape) for i, (name, p) in enumerate(model.params.items())}
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5)), path)
-        path.write_bytes(path.read_bytes()[:6])
-        with pytest.raises(ValueError, match="truncated checkpoint: header length needs 4 bytes, got 2"):
+        save_checkpoint(Model(model.cfg, params), path)
+        whole = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for name, p in params.items():
+            payload = p.tobytes()
+            assert whole.count(payload) == 1, name
+            flipped = bytearray(whole)
+            flipped[whole.find(payload) + len(payload) // 2] ^= 0x10
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError, match="not a model checkpoint") as err:
+                load_checkpoint(bad)
+            assert type(err.value) is ValueError, f"{name}: {err.value!r}"
+
+    @pytest.mark.parametrize("marker,offset", [
+        (b"'descr': '<", 10),  # the .npy dtype text: '<f4' -> ',f4'
+        (b"'shape': (", 9),  # the .npy shape text: '(256, 8)' -> '8256, 8)'
+        (b"PK\x01\x02", 10),  # the zip directory entry's compression method
+    ], ids=["npy-descr", "npy-shape", "zip-method"])
+    def test_flipped_header_byte_raises_value_error(self, tmp_path, marker, offset):
+        # over 4 KiB, so numpy parses the .npy header before zip reaches the CRC
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_cfg(), {"big": Rng(1).normal((256, 8))}), path)
+        data = bytearray(path.read_bytes())
+        data[data.rfind(marker) + offset] ^= 0x10
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="not a model checkpoint") as err:
             load_checkpoint(path)
+        assert type(err.value) is ValueError, repr(err.value.__cause__)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        first = build(tiny_cfg(num_blocks=1), Rng(1))
+        save_checkpoint(first, path)
+        before = path.read_bytes()
+        savez = np.savez
+
+        def write_then_fail(f, *args, **kwargs):
+            savez(f, *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build(tiny_cfg(num_blocks=1), Rng(2)), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        back = load_checkpoint(path)
+        for name, want in first.params.items():
+            assert back.params[name].tobytes() == want.tobytes()
+
+    def test_equal_models_give_equal_bytes(self, tmp_path, monkeypatch):
+        save_checkpoint(build(tiny_cfg(num_blocks=1), Rng(3)), tmp_path / "a.ckpt")
+        clock = time.time  # an hour later: no timestamp may reach the file
+        monkeypatch.setattr(time, "time", lambda: clock() + 3600.0)
+        save_checkpoint(build(tiny_cfg(num_blocks=1), Rng(3)), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope")
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(path)
+
+    def test_npz_without_config_rejected(self, tmp_path):
+        path = tmp_path / "arrays.npz"
+        np.savez(path, w=np.ones(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "missing.ckpt")

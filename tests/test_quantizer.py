@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,6 +233,11 @@ class TestSparsify:
         with pytest.raises(ValueError, match="at least one axis"):
             sparsify_2of4(np.array(0.4))
 
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_out_of_range_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is out of range"):
+            sparsify_2of4(np.ones((4, 8)), axis=axis)
+
 
 class TestTrustMask:
     def test_rule_arithmetic_b2(self):
@@ -260,10 +266,16 @@ class TestTrustMask:
         assert not narrow[0] and wide[0]
 
     def test_one_bit_outer_scale_defaults(self):
-        assert QuantConfig(format="int1", hadamard=True).outer_trust_scale == 1.30
-        assert QuantConfig(format="int1", hadamard=False).outer_trust_scale == 1.25
-        assert QuantConfig(format="int4").outer_trust_scale == 1.0
-        assert QuantConfig(format="int1", outer_trust_scale=1.1).outer_trust_scale == 1.1
+        assert QuantConfig(format="int1", hadamard=True).trust_scale == 1.30
+        assert QuantConfig(format="int1", hadamard=False).trust_scale == 1.25
+        assert QuantConfig(format="int4").trust_scale == 1.0
+        assert QuantConfig(format="int1", outer_trust_scale=1.1).trust_scale == 1.1
+
+    def test_default_scale_follows_replace(self):
+        assert replace(QuantConfig(format="int4"), format="int1").trust_scale == 1.30
+        assert replace(QuantConfig(format="int1"), hadamard=False).trust_scale == 1.25
+        given = QuantConfig(format="int4", outer_trust_scale=1.1)
+        assert replace(given, format="int1").trust_scale == 1.1
 
     def test_untrusted_fraction_matches_normal_tail(self):
         # untrusted iff |x| > alpha + T for the uniform grid at s=1
@@ -365,6 +377,12 @@ class TestProject:
         with pytest.raises(ValueError, match="at least one axis"):
             project(np.array(0.4), QuantConfig(format=fmt))
 
+    @pytest.mark.parametrize("fmt", ["none", "int4"])
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_out_of_range_axis_rejected(self, fmt, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is out of range"):
+            project(np.ones((4, 8)), QuantConfig(format=fmt), axis=axis)
+
 
 # --- frozen reference: project as it was before the one-buffer pipeline -----
 # INT rounding, trust rule and projection copied verbatim; round_fp4 and
@@ -383,7 +401,7 @@ def reference_uniform_codes(x, alpha, b):
 def reference_trust_mask(x_norm, x_hat_norm, cfg):
     alpha = alpha_star(cfg.grid_key)
     half = alpha / 6.0 if cfg.format == "fp4" else alpha / ((1 << cfg.bits) - 1)
-    t = np.where(np.abs(x_norm) <= alpha, half, cfg.outer_trust_scale * half)
+    t = np.where(np.abs(x_norm) <= alpha, half, cfg.trust_scale * half)
     return np.abs(x_hat_norm - x_norm) <= t.astype(x_norm.dtype, copy=False)
 
 
@@ -504,8 +522,9 @@ class TestQuantConfig:
         assert QuantConfig(format="fp4").grid_key == "fp4"
 
     def test_default_outer_trust(self):
-        from trustquant.quantizer import default_outer_trust_scale
+        from trustquant.quantizer import FORMATS
 
-        assert default_outer_trust_scale(1, True) == 1.30
-        assert default_outer_trust_scale(1, False) == 1.25
-        assert default_outer_trust_scale(4, True) == 1.0
+        for fmt in FORMATS:
+            for hadamard in (True, False):
+                want = (1.30 if hadamard else 1.25) if fmt == "int1" else 1.0
+                assert QuantConfig(format=fmt, hadamard=hadamard).trust_scale == want

@@ -1,10 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from trustquant.quantizer import QuantConfig, project
-from trustquant.tensor import Rng, load_tensor, save_tensor
+from trustquant.tensor import Rng
 
 
 def rms(x, axis=-1, group_size=None):
@@ -82,46 +80,3 @@ class TestRng:
         assert a.dtype == np.float32
         assert np.array_equal(a, b)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_round_trip(self, dtype, rng_np):
-        x = rng_np.standard_normal((3, 5, 2)).astype(dtype)
-        buf = io.BytesIO()
-        save_tensor(buf, x)
-        buf.seek(0)
-        y = load_tensor(buf)
-        assert y.dtype == dtype
-        assert np.array_equal(x, y)
-
-    def test_magic_enforced(self):
-        buf = io.BytesIO(b"XXXX" + b"\0" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_tensor(buf)
-
-    def test_multiple_records(self, rng_np):
-        xs = [rng_np.standard_normal((4,)).astype(np.float32) for _ in range(3)]
-        buf = io.BytesIO()
-        for x in xs:
-            save_tensor(buf, x)
-        buf.seek(0)
-        for x in xs:
-            assert np.array_equal(load_tensor(buf), x)
-
-    def test_truncation_at_every_offset_raises_value_error(self):
-        buf = io.BytesIO()
-        save_tensor(buf, np.arange(6, dtype=np.float32).reshape(2, 3))
-        record = buf.getvalue()
-        assert len(record) == 53
-        parts = "(magic|version and rank|shape|dtype tag|payload)"
-        for cut in range(len(record)):
-            with pytest.raises(ValueError, match=f"truncated tensor record: {parts}"):
-                load_tensor(io.BytesIO(record[:cut]))
-
-    def test_unknown_dtype_tag_rejected(self):
-        buf = io.BytesIO()
-        save_tensor(buf, np.zeros((2, 3), dtype=np.float32))
-        record = bytearray(buf.getvalue())
-        record[4 + 8 + 16] = 7  # the dtype tag follows magic, version/rank, shape
-        with pytest.raises(ValueError, match="dtype tag 7"):
-            load_tensor(io.BytesIO(bytes(record)))

@@ -20,7 +20,6 @@ from trustquant.trainer import (
     ingest,
     lr_at,
     peak_lr_for,
-    plan_tokens,
     steps,
     train,
 )
@@ -145,11 +144,19 @@ class TestIngest:
         for _ in range(8):  # crosses an epoch boundary
             assert np.array_equal(a.next_batch(), b.next_batch())
 
+    def test_batch_tokens_below_one_window_rejected(self):
+        windows = np.arange(96).reshape(3, 32)
+        batch_size = 16 // 32  # batch_tokens // max_seq_len, as the loop computes it
+        with pytest.raises(ValueError, match="batch size 0 is not between 1 and 3 windows"):
+            BatchStream(windows, batch_size, seed=1)
+
+    def test_batch_larger_than_corpus_rejected(self):
+        windows = np.arange(96).reshape(3, 32)
+        with pytest.raises(ValueError, match="batch size 5 is not between 1 and 3 windows"):
+            BatchStream(windows, 5, seed=1)
+
 
 class TestPlanning:
-    def test_plan_tokens_100x(self):
-        assert plan_tokens(30_000_000) == 3_000_000_000
-
     def test_lr_anchors_take_precedence(self):
         assert peak_lr_for(30e6) == 1.2e-3
         assert peak_lr_for(430e6) == 1.5e-4
