@@ -12,8 +12,10 @@ ModelConfig JSON as a 0-d string array, then every parameter in
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import tokenize
 import zipfile
@@ -62,10 +64,19 @@ class ModelConfig:
     def mlp_intermediate(self) -> int:
         return mlp_width(self.hidden_size)
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's name and shape, in `build` (and checkpoint) order."""
+        h, i, v = self.hidden_size, self.mlp_intermediate, self.vocab_size
+        block = {"attn_norm": (h,), "wq": (h, h), "wk": (h, h), "wv": (h, h), "wo": (h, h),
+                 "mlp_norm": (h,), "w_gate": (i, h), "w_up": (i, h), "w_down": (h, i)}
+        shapes = {"embedding": (v, h)}
+        for b in range(self.num_blocks):
+            shapes.update({f"block{b}.{name}": shape for name, shape in block.items()})
+        return {**shapes, "final_norm": (h,), "head": (v, h)}
+
     def non_embedding_params(self) -> int:
-        h, i = self.hidden_size, self.mlp_intermediate
-        per_block = 2 * h + 4 * h * h + 3 * h * i
-        return self.num_blocks * per_block + h + self.vocab_size * h
+        return sum(math.prod(shape) for name, shape in self.param_shapes().items()
+                   if name != "embedding")
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -105,25 +116,16 @@ def rope_tables(cfg: ModelConfig, seq_len: int):
 
 
 def build(cfg: ModelConfig, rng: Rng) -> Model:
-    """Initialize parameters; residual-path outputs get the depth-scaled std."""
-    h, i, v = cfg.hidden_size, cfg.mlp_intermediate, cfg.vocab_size
-    std = 0.02
+    """Initialize parameters: norm gains at 1, weights normal with std 0.02,
+    and the residual-path outputs (wo, w_down) with the depth-scaled std."""
     residual_std = 0.02 / np.sqrt(2.0 * cfg.num_blocks)
     params: dict[str, np.ndarray] = {}
-    params["embedding"] = rng.normal((v, h), dtype=F32) * F32(std)
-    for b in range(cfg.num_blocks):
-        p = f"block{b}."
-        params[p + "attn_norm"] = np.ones(h, dtype=F32)
-        params[p + "wq"] = rng.normal((h, h), dtype=F32) * F32(std)
-        params[p + "wk"] = rng.normal((h, h), dtype=F32) * F32(std)
-        params[p + "wv"] = rng.normal((h, h), dtype=F32) * F32(std)
-        params[p + "wo"] = rng.normal((h, h), dtype=F32) * F32(residual_std)
-        params[p + "mlp_norm"] = np.ones(h, dtype=F32)
-        params[p + "w_gate"] = rng.normal((i, h), dtype=F32) * F32(std)
-        params[p + "w_up"] = rng.normal((i, h), dtype=F32) * F32(std)
-        params[p + "w_down"] = rng.normal((h, i), dtype=F32) * F32(residual_std)
-    params["final_norm"] = np.ones(h, dtype=F32)
-    params["head"] = rng.normal((v, h), dtype=F32) * F32(std)
+    for name, shape in cfg.param_shapes().items():
+        if name.endswith("norm"):
+            params[name] = np.ones(shape, dtype=F32)
+        else:
+            std = residual_std if name.endswith(("wo", "w_down")) else 0.02
+            params[name] = rng.normal(shape, dtype=F32) * F32(std)
     return Model(cfg, params)
 
 
@@ -211,16 +213,22 @@ def save_checkpoint(model: Model, path) -> None:
     """Write `model` to `path`.tmp, then move it over `path` once complete
     and synced, so a failed write leaves the previous file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:  # given a path, np.savez would append ".npz"
-        np.savez(f, **{_CONFIG: np.array(model.cfg.to_json())}, **model.params)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:  # given a path, np.savez would append ".npz"
+            np.savez(f, **{_CONFIG: np.array(model.cfg.to_json())}, **model.params)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one to report
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint written by save_checkpoint. OSError if `path` cannot
-    be read; ValueError for a file that does not decode as a checkpoint."""
+    be read; ValueError for a file that does not decode as a checkpoint or
+    whose parameter names and shapes differ from those its config defines."""
     try:
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
             cfg = ModelConfig.from_json(str(npz[_CONFIG]))
@@ -228,4 +236,11 @@ def load_checkpoint(path) -> Model:
     except (EOFError, KeyError, NotImplementedError, SyntaxError, ValueError,
             tokenize.TokenError, zipfile.BadZipFile) as err:
         raise ValueError(f"not a model checkpoint: {path} ({err})") from err
+    want = cfg.param_shapes()
+    got = {name: p.shape for name, p in params.items()}
+    if got != want:
+        name = next(n for n in [*want, *got] if want.get(n) != got.get(n))
+        problem = ("missing" if name not in got else "unexpected" if name not in want
+                   else f"shape {got[name]}, expected {want[name]}")
+        raise ValueError(f"not a model checkpoint: {path} (parameter {name!r}: {problem})")
     return Model(cfg, params)

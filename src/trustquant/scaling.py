@@ -4,16 +4,19 @@ The law: L(N, D, P) = exp(a)/(N*eff(P))^alpha + exp(b)/D^beta + exp(e),
 with eff(16) pinned to 1. Fitting minimizes the mean Huber loss
 (delta = 1e-3) of log-loss residuals, starting a Nelder-Mead from every
 point of the grid a, b in {0,5,...,25}, e in {-1,...,1}, alpha, beta in
-{0,0.5,...,2} (log-space parameters), log eff starting at 0. All simplexes
-advance in lockstep through one vectorized Nelder-Mead (reflection 1,
-expansion 2, contraction 0.5, shrink 0.5; initial vertices perturb each
-coordinate by 5%, 0.25 at zero), each until its diameter drops below
-1e-8 or 5000 iterations. The winner is the deterministic argmin with
-index tie-break.
+{0,0.5,...,2} (log-space parameters), log eff starting at 0.
 
 Initial simplex: each coordinate perturbed by 5% of its value, or by 0.25
 when it starts at zero; the 0.25 keeps log-eff dimensions (which all start
 at zero) on the same exploration scale as the log-coefficient grid.
+
+All simplexes advance in lockstep through one vectorized Nelder-Mead
+(reflection 1, expansion 2, contraction 0.5, shrink 0.5). A simplex retires
+with its best vertex once its diameter is not >= 1e-8 (so NaN retires too)
+or after 5000 iterations; only live simplexes are sorted and stepped. An
+iteration makes at most three objective calls: the reflections, one second
+probe per simplex that needs one (expansion, outside or inside contraction)
+and the shrinks. The winner is the deterministic argmin with index tie-break.
 """
 
 from __future__ import annotations
@@ -135,75 +138,51 @@ def _nelder_mead_batch(objective, starts: np.ndarray, *, xatol: float = 1e-8,
         col = pts[:, j + 1, j]
         pts[:, j + 1, j] = np.where(col != 0.0, col * 1.05, 0.25)
     fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
+    best_pts, best_vals = np.empty_like(starts), np.empty_like(fvals[:, 0])
 
-    active = np.ones(n_start, dtype=bool)
+    live = np.arange(n_start)  # original row of each simplex still in pts/fvals
     for it in range(max_iter + 1):  # the last pass only sorts
         order = np.argsort(fvals, axis=1, kind="stable")
         fvals = np.take_along_axis(fvals, order, axis=1)
         pts = np.take_along_axis(pts, order[:, :, None], axis=1)
 
         diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
-        active &= diam >= xatol
-        if it == max_iter or not active.any():
+        done = ~(diam >= xatol) | (it == max_iter)  # a NaN diameter retires too
+        best_pts[live[done]], best_vals[live[done]] = pts[done, 0], fvals[done, 0]
+        live, pts, fvals = live[~done], pts[~done], fvals[~done]
+        if not live.size:
             break
 
-        idx = np.flatnonzero(active)
-        p = pts[idx]
-        f = fvals[idx]
-        centroid = (p[:, :-1, :].sum(axis=1)) / dim
-        worst = p[:, -1, :]
-        direction = centroid - worst
-
+        centroid = pts[:, :-1, :].sum(axis=1) / dim
+        direction = centroid - pts[:, -1, :]
         xr = centroid + direction
         fr = objective(xr)
 
-        new_pt = xr.copy()
-        new_f = fr.copy()
-
-        expand = fr < f[:, 0]
-        if expand.any():
-            xe = centroid[expand] + 2.0 * direction[expand]
-            fe = objective(xe)
-            better = fe < fr[expand]
-            rows = np.flatnonzero(expand)[better]
-            new_pt[rows] = xe[better]
-            new_f[rows] = fe[better]
-
-        shrink = np.zeros(len(idx), dtype=bool)
-        contract = fr >= f[:, -2]
-        if contract.any():
-            outside = contract & (fr < f[:, -1])
-            if outside.any():
-                xc = centroid[outside] + 0.5 * direction[outside]
-                fc = objective(xc)
-                ok = fc <= fr[outside]
-                rows = np.flatnonzero(outside)
-                new_pt[rows[ok]] = xc[ok]
-                new_f[rows[ok]] = fc[ok]
-                shrink[rows[~ok]] = True
-            inside = contract & (fr >= f[:, -1])
-            if inside.any():
-                xcc = centroid[inside] - 0.5 * direction[inside]
-                fcc = objective(xcc)
-                ok = fcc < f[inside, -1]
-                rows = np.flatnonzero(inside)
-                new_pt[rows[ok]] = xcc[ok]
-                new_f[rows[ok]] = fcc[ok]
-                shrink[rows[~ok]] = True
+        # one second probe: expansion (2), outside (0.5) or inside (-0.5) contraction
+        coef = np.select(
+            [fr < fvals[:, 0], (fr >= fvals[:, -2]) & (fr < fvals[:, -1]), fr >= fvals[:, -1]],
+            [2.0, 0.5, -0.5], 0.0)
+        rows = np.flatnonzero(coef)
+        shrink = np.zeros(live.size, dtype=bool)
+        if rows.size:
+            c = coef[rows]
+            x2 = centroid[rows] + c[:, None] * direction[rows]
+            f2 = objective(x2)
+            kept = np.select([c == 2.0, c == 0.5], [f2 < fr[rows], f2 <= fr[rows]],
+                             f2 < fvals[rows, -1])
+            shrink[rows[~kept & (c != 2.0)]] = True  # a contraction that failed
+            xr[rows[kept]], fr[rows[kept]] = x2[kept], f2[kept]
 
         accept = ~shrink
-        rows = idx[accept]
-        pts[rows, -1, :] = new_pt[accept]
-        fvals[rows, -1] = new_f[accept]
-
+        pts[accept, -1, :] = xr[accept]
+        fvals[accept, -1] = fr[accept]
         if shrink.any():
-            rows = idx[shrink]
-            best = pts[rows, :1, :]
-            pts[rows, 1:, :] = best + 0.5 * (pts[rows, 1:, :] - best)
-            flat = pts[rows, 1:, :].reshape(-1, dim)
-            fvals[rows, 1:] = objective(flat).reshape(len(rows), dim)
+            best = pts[shrink, :1, :]
+            pts[shrink, 1:, :] = best + 0.5 * (pts[shrink, 1:, :] - best)
+            flat = pts[shrink, 1:, :].reshape(-1, dim)
+            fvals[shrink, 1:] = objective(flat).reshape(-1, dim)
 
-    return pts[:, 0, :], fvals[:, 0]
+    return best_pts, best_vals
 
 
 # --- fitting -------------------------------------------------------------------

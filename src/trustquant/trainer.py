@@ -194,8 +194,8 @@ def train_step(model: Model, batch: np.ndarray, state: AdamWState, lr: float,
     """One optimizer step on `batch`: forward, backward, clip, AdamW.
 
     Returns (loss, pre-clip grad norm, forward trace). A non-finite loss
-    raises TrainingDiverged before backward, leaving params and state as
-    they were.
+    (before backward) or gradient norm (before AdamW) raises
+    TrainingDiverged, leaving params and state as they were.
     """
     loss, tape, trace = forward_loss(model, batch)
     loss_val = float(loss.value)
@@ -204,6 +204,9 @@ def train_step(model: Model, batch: np.ndarray, state: AdamWState, lr: float,
     tape.backward(loss)
     grads = {name: trace.param_leaves[name].grad for name in model.params}
     grads, grad_norm = clip_grad_norm(grads, cfg.clip_norm)
+    if not math.isfinite(grad_norm):
+        raise TrainingDiverged(
+            f"non-finite gradient norm {grad_norm} at optimizer step {state.step}")
     skip_decay = {n for n in model.params if model.is_norm_gain(n)}
     adamw_step(model.params, grads, state, lr, cfg, skip_decay)
     return loss_val, grad_norm, trace
@@ -260,7 +263,8 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
         except TrainingDiverged as err:
             save_checkpoint(model, ckpt_path)
             raise TrainingDiverged(  # one record per finished step
-                f"loss diverged at step {len(records)}; last good checkpoint at {ckpt_path}"
+                f"training diverged at step {len(records)} ({err}); "
+                f"last good checkpoint at {ckpt_path}"
             ) from err
 
     save_checkpoint(model, ckpt_path)

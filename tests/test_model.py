@@ -220,7 +220,11 @@ class TestCheckpoint:
         small = {name: p for name, p in model.params.items() if p.size <= 64}
         path = tmp_path / "model.ckpt"
         save_checkpoint(Model(model.cfg, small), path)
-        assert len(load_checkpoint(path).params) == len(small) > 2
+        assert len(small) > 2
+        # the whole file decodes; only the layout check rejects it
+        with pytest.raises(ValueError, match="'block0.w_gate': missing") as err:
+            load_checkpoint(path)
+        assert err.value.__cause__ is None
         whole = path.read_bytes()
         cut_path = tmp_path / "cut.ckpt"
         for cut in range(len(whole)):
@@ -228,6 +232,7 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="truncated|not a model checkpoint") as err:
                 load_checkpoint(cut_path)
             assert type(err.value) is ValueError, f"cut at {cut}: {err.value!r}"
+            assert err.value.__cause__ is not None, f"cut at {cut} decoded: {err.value!r}"
 
     def test_flipped_payload_byte_raises_value_error(self, tmp_path):
         model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
@@ -253,15 +258,18 @@ class TestCheckpoint:
         (b"PK\x01\x02", 10),  # the zip directory entry's compression method
     ], ids=["npy-descr", "npy-shape", "zip-method"])
     def test_flipped_header_byte_raises_value_error(self, tmp_path, marker, offset):
-        # over 4 KiB, so numpy parses the .npy header before zip reaches the CRC
+        # the last member, head (256, 8) float32, is over 4 KiB, so numpy parses
+        # its .npy header before zip reaches the CRC
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Model(tiny_cfg(), {"big": Rng(1).normal((256, 8))}), path)
+        save_checkpoint(build(tiny_cfg(num_blocks=1, hidden_size=8), Rng(1)), path)
+        load_checkpoint(path)
         data = bytearray(path.read_bytes())
         data[data.rfind(marker) + offset] ^= 0x10
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="not a model checkpoint") as err:
             load_checkpoint(path)
         assert type(err.value) is ValueError, repr(err.value.__cause__)
+        assert err.value.__cause__ is not None  # a decoding error, not the layout check
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -279,6 +287,7 @@ class TestCheckpoint:
             save_checkpoint(build(tiny_cfg(num_blocks=1), Rng(2)), path)
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert not (tmp_path / "model.ckpt.tmp").exists()
         back = load_checkpoint(path)
         for name, want in first.params.items():
             assert back.params[name].tobytes() == want.tobytes()
@@ -300,6 +309,23 @@ class TestCheckpoint:
         path = tmp_path / "arrays.npz"
         np.savez(path, w=np.ones(3, dtype=np.float32))
         with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
+        params = dict(model.params)
+        del params["block0.wv"]
+        path = tmp_path / "model.npz"
+        np.savez(path, config=np.array(model.cfg.to_json()), **params)
+        with pytest.raises(ValueError, match=r"not a model checkpoint: .*'block0.wv': missing"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
+        params = dict(model.params, head=model.params["head"].T)
+        path = tmp_path / "model.npz"
+        np.savez(path, config=np.array(model.cfg.to_json()), **params)
+        with pytest.raises(ValueError, match=r"'head': shape \(8, 4\), expected \(4, 8\)"):
             load_checkpoint(path)
 
     def test_missing_file_raises_file_not_found(self, tmp_path):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from trustquant import autodiff
+from trustquant import autodiff, scaling
 from trustquant import model as tq_model
 from trustquant.quantizer import QuantConfig
 from trustquant.tensor import Rng
@@ -54,3 +54,21 @@ def test_install_then_uninstall_restores_originals(spans):
                  "qlinear.backward", "qlinear.qlinear", "model.forward_loss"):
         assert agg[span][0] > 0, span
     assert counts["quantizer.project.elems"] > 0
+
+
+def test_traced_fit_counts_huber_rows(spans):
+    # 2 sizes x 2 token counts at 16 and 4 bits, fitted from one start
+    records = [scaling.RunRecord(n, r * n, p, 2.0 + 1e3 / n ** 0.3 + 1e3 / (r * n) ** 0.3)
+               for n in (1e7, 1e8) for r in (20, 80) for p in (4, 16)]
+    grid = {"alpha": [0.5], "beta": [0.5], "e": [0.0], "a": [5.0], "b": [5.0]}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_unit(0)
+        scaling.fit(records, grid=grid)
+        agg, counts = tracer.end_unit()
+    finally:
+        tracer.uninstall()
+    assert agg["scaling.fit"][0] == 1
+    assert agg["scaling.huber"][0] > 0
+    assert counts["scaling.huber.rows"] > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trustquant import scaling
 from trustquant.scaling import (
     DEFAULT_GRID,
     RunRecord,
@@ -51,6 +52,110 @@ def synth_records(params, seed=7, noise=0.0, sizes=(30e6, 100e6, 300e6),
                     loss *= math.exp(noise * float(rng.normal((), dtype=np.float64)))
                 records.append(RunRecord(n, r * n, p, loss))
     return records
+
+
+def oracle_nelder_mead_batch(objective, starts, *, xatol=1e-8, max_iter=5000):
+    """Frozen copy of the loop that sorted every simplex each iteration and
+    made a separate objective call for expansion, outside and inside
+    contraction. `_nelder_mead_batch` must match it bit for bit."""
+    starts = np.asarray(starts, dtype=np.float64)
+    n_start, dim = starts.shape
+    n_vert = dim + 1
+
+    pts = np.repeat(starts[:, None, :], n_vert, axis=1)
+    for j in range(dim):
+        col = pts[:, j + 1, j]
+        pts[:, j + 1, j] = np.where(col != 0.0, col * 1.05, 0.25)
+    fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
+
+    active = np.ones(n_start, dtype=bool)
+    for it in range(max_iter + 1):
+        order = np.argsort(fvals, axis=1, kind="stable")
+        fvals = np.take_along_axis(fvals, order, axis=1)
+        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+
+        diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
+        active &= diam >= xatol
+        if it == max_iter or not active.any():
+            break
+
+        idx = np.flatnonzero(active)
+        p = pts[idx]
+        f = fvals[idx]
+        centroid = (p[:, :-1, :].sum(axis=1)) / dim
+        worst = p[:, -1, :]
+        direction = centroid - worst
+
+        xr = centroid + direction
+        fr = objective(xr)
+
+        new_pt = xr.copy()
+        new_f = fr.copy()
+
+        expand = fr < f[:, 0]
+        if expand.any():
+            xe = centroid[expand] + 2.0 * direction[expand]
+            fe = objective(xe)
+            better = fe < fr[expand]
+            rows = np.flatnonzero(expand)[better]
+            new_pt[rows] = xe[better]
+            new_f[rows] = fe[better]
+
+        shrink = np.zeros(len(idx), dtype=bool)
+        contract = fr >= f[:, -2]
+        if contract.any():
+            outside = contract & (fr < f[:, -1])
+            if outside.any():
+                xc = centroid[outside] + 0.5 * direction[outside]
+                fc = objective(xc)
+                ok = fc <= fr[outside]
+                rows = np.flatnonzero(outside)
+                new_pt[rows[ok]] = xc[ok]
+                new_f[rows[ok]] = fc[ok]
+                shrink[rows[~ok]] = True
+            inside = contract & (fr >= f[:, -1])
+            if inside.any():
+                xcc = centroid[inside] - 0.5 * direction[inside]
+                fcc = objective(xcc)
+                ok = fcc < f[inside, -1]
+                rows = np.flatnonzero(inside)
+                new_pt[rows[ok]] = xcc[ok]
+                new_f[rows[ok]] = fcc[ok]
+                shrink[rows[~ok]] = True
+
+        accept = ~shrink
+        rows = idx[accept]
+        pts[rows, -1, :] = new_pt[accept]
+        fvals[rows, -1] = new_f[accept]
+
+        if shrink.any():
+            rows = idx[shrink]
+            best = pts[rows, :1, :]
+            pts[rows, 1:, :] = best + 0.5 * (pts[rows, 1:, :] - best)
+            flat = pts[rows, 1:, :].reshape(-1, dim)
+            fvals[rows, 1:] = objective(flat).reshape(len(rows), dim)
+
+    return pts[:, 0, :], fvals[:, 0]
+
+
+def rosenbrock(x):
+    x = np.atleast_2d(x)
+    return ((1 - x[:, :-1]) ** 2).sum(axis=1) + \
+        100 * ((x[:, 1:] - x[:, :-1] ** 2) ** 2).sum(axis=1)
+
+
+def scaled_quadratic(x):
+    x = np.atleast_2d(x)
+    return ((x - 3.0) ** 2 * np.arange(1, x.shape[1] + 1)).sum(axis=1)
+
+
+class CountingObjective:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
 
 
 class TestPredict:
@@ -162,11 +267,7 @@ class TestBatchNelderMead:
     def test_matches_scipy_on_rosenbrock(self):
         from scipy.optimize import minimize
 
-        def rosen(x):
-            x = np.atleast_2d(x)
-            return ((1 - x[:, :-1]) ** 2).sum(axis=1) + \
-                100 * ((x[:, 1:] - x[:, :-1] ** 2) ** 2).sum(axis=1)
-
+        rosen = rosenbrock
         starts = np.array([[0.0, 0.0], [1.5, 2.0], [-1.0, 1.0]])
         pts, vals = _nelder_mead_batch(rosen, starts)
         for s, p, v in zip(starts, pts, vals):
@@ -189,6 +290,53 @@ class TestBatchNelderMead:
         pts, vals = _nelder_mead_batch(quad, np.zeros((5, 4)))
         assert np.all(vals < 1e-14)
         assert np.abs(pts - 3.0).max() < 1e-7
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 17, 300, 5000])
+    @pytest.mark.parametrize("fn,dim", [(rosenbrock, 3), (scaled_quadratic, 4)],
+                             ids=["rosenbrock", "quadratic"])
+    def test_matches_frozen_oracle(self, fn, dim, max_iter):
+        starts = np.random.default_rng(dim).uniform(-2.0, 2.0, (48, dim))
+        starts[:4] = 0.0  # zero coordinates take the 0.25 perturbation
+        pts, vals = _nelder_mead_batch(fn, starts, max_iter=max_iter)
+        want_pts, want_vals = oracle_nelder_mead_batch(fn, starts, max_iter=max_iter)
+        assert pts.tobytes() == want_pts.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
+
+    @pytest.mark.parametrize("grid,precisions", [
+        (SMALL_GRID, (4, 16)),
+        ({k: v[1::2] for k, v in DEFAULT_GRID.items()}, (1, 2, 3, 4, 16)),
+    ], ids=["small-32", "odd-72"])
+    def test_fit_objective_matches_frozen_oracle(self, monkeypatch, grid, precisions):
+        records = synth_records(chinchilla_like(), noise=0.01, precisions=precisions,
+                                ratios=(25, 50, 100))
+        checked = []
+
+        def both(objective, starts):
+            got = _nelder_mead_batch(objective, starts)
+            want = oracle_nelder_mead_batch(objective, starts)
+            checked.append(len(starts))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            return got
+
+        monkeypatch.setattr(scaling, "_nelder_mead_batch", both)
+        fit(records, grid=grid)
+        assert checked == [math.prod(len(v) for v in grid.values())]
+
+    def test_one_second_probe_per_iteration(self):
+        # 1-D minimum at 1.06: from 10 the reflection expands, from 1.0 it
+        # contracts outside, and from 1.04 it contracts inside
+        def bowl(x):
+            return ((np.atleast_2d(x) - 1.06) ** 2).sum(axis=1)
+
+        starts = np.array([[10.0], [1.0], [1.04]])
+        new, old = CountingObjective(bowl), CountingObjective(bowl)
+        pts, vals = _nelder_mead_batch(new, starts, max_iter=1)
+        want_pts, want_vals = oracle_nelder_mead_batch(old, starts, max_iter=1)
+        assert old.calls >= 5  # initial, reflection, and one call per probe kind
+        assert new.calls <= 4  # initial, reflection, second probe, shrink
+        assert pts.tobytes() == want_pts.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
 
 
 class TestEfficiency:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import write_corpus
+from trustquant import autodiff as ad
 from trustquant.model import ModelConfig, build, forward_loss, load_checkpoint
 from trustquant.quantizer import QuantConfig
 from trustquant.tensor import Rng
@@ -292,3 +293,34 @@ class TestTrainStep:
         for name, p in model.params.items():
             assert saved.params[name].tobytes() == p.tobytes() == before[name].tobytes(), name
         assert (out / "metrics.jsonl").read_text() == ""
+
+    def test_non_finite_gradient_saves_last_good_checkpoint(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=9)
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=5, batch_tokens=128,
+                           data_path=str(corpus), seed=21)
+        reference = int4_model()  # the state after one good step
+        next(steps(reference, tcfg, ingest(tcfg.data_path, reference.cfg.max_seq_len)))
+        backward = ad.Tape.backward
+        calls = []
+
+        def nan_in_second_step(tape, loss):
+            first_leaf = next(node for node in tape.nodes if not node.parents)
+            backward(tape, loss)
+            calls.append(loss)
+            if len(calls) == 2:  # the loss stays finite; one gradient entry does not
+                first_leaf.grad = first_leaf.grad.copy()
+                first_leaf.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(ad.Tape, "backward", nan_in_second_step)
+        model = int4_model()
+        out = tmp_path / "out"
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, tcfg, out)
+        ckpt = out / "model.ckpt"
+        assert math.isfinite(float(calls[1].value))
+        assert "step 1" in str(err.value) and "gradient" in str(err.value)
+        assert str(ckpt) in str(err.value)
+        saved = load_checkpoint(ckpt)
+        for name, p in reference.params.items():
+            assert saved.params[name].tobytes() == model.params[name].tobytes() == p.tobytes(), name
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
