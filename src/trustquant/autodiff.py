@@ -203,6 +203,8 @@ def cross_entropy_with_logits(logits: Node, targets: np.ndarray) -> Node:
     """Mean token cross-entropy. logits (..., V), targets (...) integer ids."""
     x = logits.value.reshape(-1, logits.shape[-1])
     targets = np.asarray(targets).reshape(-1)
+    if targets.min() < 0 or targets.max() >= x.shape[1]:
+        raise ValueError(f"target id out of range [0, {x.shape[1]})")
     n = x.shape[0]
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)

@@ -62,7 +62,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def _block_grads(model: Model, tokens: np.ndarray, quant: QuantConfig):
-    loss, tape, trace = forward_loss(model, tokens, quant=quant)
+    variant = Model(dataclasses.replace(model.cfg, quant=quant), model.params)  # shares arrays
+    loss, tape, trace = forward_loss(variant, tokens)
     tape.backward(loss)
     return [node.grad for node in trace.block_outputs]
 
@@ -76,14 +77,12 @@ def _block_cosines(model: Model, tokens: np.ndarray,
     return [cosine(q, r) for q, r in zip(quantized, reference)]
 
 
-def grad_alignment(model: Model, tokens: np.ndarray, block: int,
-                   quant: QuantConfig | None = None) -> float | None:
+def grad_alignment(model: Model, tokens: np.ndarray, block: int) -> float | None:
     """Cosine similarity of the block's activation gradient with vs without
     activation quantization. None when either gradient has zero norm."""
-    quant = quant if quant is not None else model.cfg.quant
     if block >= model.cfg.num_blocks:
         raise ValueError(f"block {block} out of range for {model.cfg.num_blocks} blocks")
-    return _block_cosines(model, tokens, quant)[block]
+    return _block_cosines(model, tokens, model.cfg.quant)[block]
 
 
 def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[AlignmentRecord]:

@@ -1,7 +1,8 @@
 """Scaled-down Llama-style decoder: RMSNorm, rotary attention, SwiGLU MLP.
 
 Every projection (q/k/v/o, gate/up/down) runs through the quantized linear
-layer; embedding, output head, and normalization gains are never quantized.
+layer under the model's `cfg.quant`; embedding, output head, and
+normalization gains are never quantized.
 The MLP intermediate width is 8/3 of the hidden size padded up to a multiple
 of 256. Byte-level vocabulary (256) by default.
 
@@ -35,11 +36,6 @@ def pad_to_multiple(x: int, multiple: int = 256) -> int:
     return ((x + multiple - 1) // multiple) * multiple
 
 
-def mlp_width(hidden: int) -> int:
-    """MLP intermediate width: 8/3 of `hidden`, padded up to a multiple of 256."""
-    return pad_to_multiple((8 * hidden + 2) // 3)
-
-
 @dataclass
 class ModelConfig:
     num_blocks: int
@@ -55,6 +51,8 @@ class ModelConfig:
             raise ValueError(
                 f"hidden size {self.hidden_size} not divisible by {self.num_heads} heads"
             )
+        if self.head_dim % 2:  # rotary turns each head's dimensions in pairs
+            raise ValueError(f"head dimension {self.head_dim} must be even")
 
     @property
     def head_dim(self) -> int:
@@ -62,7 +60,8 @@ class ModelConfig:
 
     @property
     def mlp_intermediate(self) -> int:
-        return mlp_width(self.hidden_size)
+        """8/3 of the hidden size, padded up to a multiple of 256."""
+        return pad_to_multiple((8 * self.hidden_size + 2) // 3)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Every parameter's name and shape, in `build` (and checkpoint) order."""
@@ -134,13 +133,12 @@ def _causal_mask(seq_len: int, dtype=F32) -> np.ndarray:
     return mask[None, None, :, :]
 
 
-def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None = None):
+def forward_logits(model: Model, tokens: np.ndarray):
     """Build the forward graph; returns (logits node, tape, trace).
 
     tokens: (batch, seq) integer ids, seq <= max_seq_len.
     """
     cfg = model.cfg
-    quant = quant if quant is not None else cfg.quant
     tokens = np.asarray(tokens)
     batch, seq = tokens.shape
     if seq > cfg.max_seq_len:
@@ -157,7 +155,7 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
     scale = F32(1.0 / np.sqrt(hd))
 
     def proj(x, name):
-        node, ctx = qlinear(x, leaves[name], quant)
+        node, ctx = qlinear(x, leaves[name], cfg.quant)
         trace.layer_contexts[name] = ctx
         return node
 
@@ -192,7 +190,7 @@ def forward_logits(model: Model, tokens: np.ndarray, quant: QuantConfig | None =
     return ad.reshape(logits, (batch, seq, cfg.vocab_size)), tape, trace
 
 
-def forward_loss(model: Model, tokens: np.ndarray, quant: QuantConfig | None = None):
+def forward_loss(model: Model, tokens: np.ndarray):
     """Next-token cross-entropy over a (batch, window) token batch.
 
     Positions :-1 predict positions 1:, mean over all predicted tokens.
@@ -202,7 +200,7 @@ def forward_loss(model: Model, tokens: np.ndarray, quant: QuantConfig | None = N
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ValueError("token batch must be (batch, window>=2)")
     inputs, targets = tokens[:, :-1], tokens[:, 1:]
-    logits, tape, trace = forward_logits(model, inputs, quant)
+    logits, tape, trace = forward_logits(model, inputs)
     loss = ad.cross_entropy_with_logits(logits, targets)
     return loss, tape, trace
 

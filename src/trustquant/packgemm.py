@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import ht
-from .model import mlp_width
+from .model import ModelConfig
 from .quantizer import QuantConfig, project
 
 MAX_INNER_DIM = 1 << 23
@@ -102,12 +102,11 @@ def quantize_pack(x: np.ndarray, cfg: QuantConfig | None = None) -> PackedMatrix
 
 
 def layer_shapes(hidden: int, batch: int = 512) -> list[tuple[str, int, int, int]]:
-    """(name, m, k, n) for the seven projection layers at a given width."""
-    inter = mlp_width(hidden)
-    shapes = [(name, batch, hidden, hidden) for name in ("wq", "wk", "wv", "wo")]
-    shapes += [("w_gate", batch, hidden, inter), ("w_up", batch, hidden, inter)]
-    shapes += [("w_down", batch, inter, hidden)]
-    return shapes
+    """(name, m, k, n) for the seven projection layers at a given width, in
+    the model's parameter order; an n x k weight multiplies m x k input."""
+    shapes = ModelConfig(num_blocks=1, hidden_size=hidden, num_heads=1).param_shapes()
+    return [(name.removeprefix("block0."), batch, *shape[::-1])
+            for name, shape in shapes.items() if name.startswith("block0.w")]
 
 
 def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:

@@ -1,11 +1,13 @@
 """Quantized linear layer: transform, project, multiply; masked backward.
 
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
-y = x_hat_h @ w_hat_h^T. The transform runs along the shared inner axis k, so
-its length comes from the operands; the tape op `qlinear` takes x as (..., k)
-and keeps its leading axes. The context carries exactly what the
-backward needs: y's operands x_hat_h and w_hat_h, the two trust masks, and
-whether the layer ran the transform.
+y = x_hat_h @ w_hat_h^T. Format "none" projects neither operand and
+weight_only leaves x unprojected; an operand that is not projected passes
+through unchanged with an all-true trust mask. The transform runs along the
+shared inner axis k, so its length comes from the operands; the tape op
+`qlinear` takes x as (..., k) and keeps its leading axes. The context carries
+exactly what the backward needs: y's operands x_hat_h and w_hat_h, the two
+trust masks, and whether the layer ran the transform.
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -47,34 +49,20 @@ def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig):
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"inner dimensions disagree: {x.shape} x {w.shape}")
     if cfg.hadamard:
-        x_h = ht(x, axis=1)
-        w_h = ht(w, axis=1)
-    else:
-        x_h, w_h = x, w
+        x, w = ht(x, axis=1), ht(w, axis=1)
+    quantized = cfg.format != "none"
+    x_hat, mask_x = _operand(x, cfg, quantized and not cfg.weight_only)
+    w_hat, mask_w = _operand(w, cfg, quantized)
+    return x_hat @ w_hat.T, QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
 
-    if cfg.format == "none" or cfg.weight_only:
-        x_hat = x_h
-        mask_x = np.ones(x_h.shape, dtype=bool)
-    else:
-        px = project(x_h, cfg, axis=1)
-        x_hat, mask_x = px.values, px.trust_mask
 
-    if cfg.format == "none":
-        w_hat = w_h
-        mask_w = np.ones(w_h.shape, dtype=bool)
-    else:
-        pw = project(w_h, cfg, axis=1)
-        w_hat, mask_w = pw.values, pw.trust_mask
-
-    y = x_hat @ w_hat.T
-    ctx = QLinearContext(
-        x_hat_h=x_hat,
-        w_hat_h=w_hat,
-        mask_x=mask_x,
-        mask_w=mask_w,
-        hadamard=cfg.hadamard,
-    )
-    return y, ctx
+def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
+    """(grid values, trust mask) of an operand: projected along k, or `a`
+    itself with an all-true mask."""
+    if not projected:
+        return a, np.ones(a.shape, dtype=bool)
+    p = project(a, cfg, axis=1)
+    return p.values, p.trust_mask
 
 
 def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):

@@ -6,7 +6,8 @@ alpha / (2^b - 1). The FP4 grid is {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4,
 +-6}/6 rescaled by alpha. The clip scale alpha* minimizes the expected
 squared projection error of a standard normal, evaluated by composite
 Simpson integration and located by golden-section search, once per grid per
-process (`alpha_star`).
+process (`alpha_star`). That objective and `project` round through one
+function for every grid.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class QuantConfig:
     """Numeric format and projection/trust parameters for one layer family.
 
     format: "none", "intB" for B in 1..8, "fp4", or "int4-sparse-2of4".
-    group_size: elements per scale group along the matmul dimension
-        (None = one group per row). Must divide the grouped extent.
+    group_size: elements per scale group along the matmul dimension, a
+        positive int (None = one group per row). Must divide the grouped extent.
     hadamard: transform operands before fitting the grid.
     outer_trust_scale: s multiplying the trust threshold beyond +-alpha*;
         None follows the sweep default, see `trust_scale`.
@@ -57,6 +58,9 @@ class QuantConfig:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        if self.group_size is not None and not (
+                isinstance(self.group_size, (int, np.integer)) and self.group_size > 0):
+            raise ValueError(f"group_size must be None or a positive int, got {self.group_size!r}")
         if self.outer_trust_scale is not None and self.outer_trust_scale <= 0:
             raise ValueError("outer_trust_scale must be positive")
         if self.estimator not in ("trust", "ste"):
@@ -94,23 +98,27 @@ def quantize_uniform(x: np.ndarray, alpha: float, b: int) -> np.ndarray:
     Grid points are g_i = -alpha + 2*alpha*i/(2^b - 1), i = 0..2^b-1; ties
     round toward +inf.
     """
-    return _uniform_grid(x, alpha, b, with_codes=False)[0]
+    return _round_grid(x, alpha, b)[0]
 
 
 def quantize_uniform_codes(x: np.ndarray, alpha: float, b: int):
     """As quantize_uniform, also returning the integer grid indices."""
-    return _uniform_grid(x, alpha, b, with_codes=True)
+    return _round_grid(x, alpha, b, with_codes=True)
 
 
-def _uniform_grid(x, alpha: float, b: int, with_codes: bool):
-    """quantize_uniform in one buffer of x's dtype; int64 codes on request."""
-    if not 1 <= b <= 8:
-        raise ValueError(f"bit-width must be in [1, 8], got {b}")
+def _round_grid(x, alpha: float, key, with_codes: bool = False):
+    """Round x onto the grid `key` (an INT bit-width or "fp4") at clip scale
+    alpha, in x's dtype. Returns (values, codes): int64 grid indices for an
+    INT grid on request, else None. INT grids round in one buffer."""
+    if key == "fp4":
+        return round_fp4(x, alpha), None
+    if not 1 <= key <= 8:
+        raise ValueError(f"bit-width must be in [1, 8], got {key}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x = np.asarray(x)
     require_float(x, "uniform quantization")
-    levels = (1 << b) - 1
+    levels = (1 << key) - 1
     q = np.asarray(np.clip(x, -alpha, alpha))  # a 0-d x clips to a numpy scalar
     q += alpha
     q *= levels / (2.0 * alpha)
@@ -165,12 +173,6 @@ def sparsify_2of4(x: np.ndarray, axis: int = -1):
 
 # --- MSE-optimal clip scale --------------------------------------------------
 
-def _quantize_for_key(xi: np.ndarray, alpha: float, key) -> np.ndarray:
-    if key == "fp4":
-        return round_fp4(xi, alpha)
-    return quantize_uniform(xi, alpha, key)
-
-
 def _simpson_weights(n_points: int, step: float) -> np.ndarray:
     w = np.ones(n_points)
     w[1:-1:2] = 4.0
@@ -184,7 +186,7 @@ def gaussian_grid_mse(alpha: float, key, *, step: float = _SIMPSON_STEP) -> floa
     if n % 2:
         n += 1
     xi = np.linspace(-_XI_BOUND, _XI_BOUND, n + 1)
-    q = _quantize_for_key(xi, alpha, key)
+    q = _round_grid(xi, alpha, key)[0]
     density = np.exp(-0.5 * xi * xi) / math.sqrt(2 * math.pi)
     integrand = density * np.square(xi - q)
     return float(integrand @ _simpson_weights(n + 1, 2 * _XI_BOUND / n))
@@ -301,16 +303,13 @@ def project(
     safe_r = np.where(r > 0, r, 1.0)
     np.divide(grouped, safe_r, out=x_norm)
 
-    sparsity_mask = None
-    codes = None
-    if cfg.format == "fp4":
-        q = round_fp4(x_norm, alpha)
-    elif cfg.format == "int4-sparse-2of4":
+    sparsity_mask = codes = None
+    if cfg.format == "int4-sparse-2of4":
         sparse_norm, sparsity_mask = sparsify_2of4(x_norm, axis=-1)
-        q = quantize_uniform(sparse_norm, alpha, 4)
+        q = _round_grid(sparse_norm, alpha, 4)[0]
         np.copyto(q, 0.0, where=~sparsity_mask)
     else:
-        q, codes = _uniform_grid(x_norm, alpha, cfg.bits, with_codes)
+        q, codes = _round_grid(x_norm, alpha, cfg.grid_key, with_codes)
 
     mask = trust_mask(x_norm, q, cfg)
     q *= safe_r

@@ -233,12 +233,15 @@ def sample_batches(windows: np.ndarray, batch_size: int, count: int, seed: int) 
 def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     """Run the loop; emits metrics.jsonl and model.ckpt under out_dir.
 
+    With eval_interval > 0, every eval_interval-th record gains eval_loss
+    over the corpus's first 8 windows, which training then never draws.
     Returns the list of per-step metric records. Aborts on divergence with
     the last good checkpoint saved.
     """
     os.makedirs(out_dir, exist_ok=True)
     windows = ingest(cfg.data_path, model.cfg.max_seq_len)
-    eval_batch = windows[:8]
+    held_out = 8 if cfg.eval_interval else 0
+    eval_batch, windows = windows[:held_out], windows[held_out:]
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     records = []

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -42,6 +43,11 @@ class TestConfig:
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
             ModelConfig(2, 65, 2)
+
+    @pytest.mark.parametrize("hidden, heads", [(12, 4), (9, 1), (30, 2)])
+    def test_odd_head_dim_rejected(self, hidden, heads):
+        with pytest.raises(ValueError, match="head dimension"):
+            ModelConfig(num_blocks=1, hidden_size=hidden, num_heads=heads)
 
     def test_param_count_formula(self):
         cfg = tiny_cfg()
@@ -98,11 +104,10 @@ class TestForward:
     def test_quantized_init_loss_close_to_dense(self):
         tokens = Rng(12).integers(0, 256, (4, 33))
         dense = build(tiny_cfg(), Rng(13))
-        quant = Model(dense.cfg, dense.params)
+        quant = Model(dataclasses.replace(
+            dense.cfg, quant=QuantConfig(format="int8", hadamard=True)), dense.params)
         loss_d, _, _ = forward_loss(dense, tokens)
-        loss_q, _, _ = forward_loss(
-            quant, tokens, quant=QuantConfig(format="int8", hadamard=True)
-        )
+        loss_q, _, _ = forward_loss(quant, tokens)
         assert float(loss_q.value) == pytest.approx(float(loss_d.value), rel=0.02)
 
     def test_single_token_attention_is_value_path(self):
@@ -149,6 +154,14 @@ class TestForward:
         model = build(tiny_cfg(), Rng(17))
         with pytest.raises(ValueError, match="vocabulary"):
             forward_logits(model, np.array([[300]]))
+
+    @pytest.mark.parametrize("last", [-1, 256])
+    def test_target_range_guard(self, last):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16), Rng(17))
+        tokens = Rng(20).integers(0, 256, (2, 9))
+        tokens[1, -1] = last  # a target only: forward_logits never sees it
+        with pytest.raises(ValueError, match="target id"):
+            forward_loss(model, tokens)
 
     def test_untrusted_fraction_available_per_layer(self):
         model = build(tiny_cfg(quant=QuantConfig(format="int2")), Rng(18))

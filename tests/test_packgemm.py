@@ -120,6 +120,18 @@ class TestBench:
         header = path.read_text().splitlines()[0]
         assert header == "shape,dense_ms,quant_pack_ms,ht_ms,int_gemm_ms,speedup"
 
+    @pytest.mark.parametrize("hidden", [128, 640, 1000, 2048])
+    def test_layer_shapes_match_frozen_table(self, hidden):
+        inter = ((8 * hidden + 2) // 3 + 255) // 256 * 256  # the table as it was hard-coded
+        want = [(name, 512, hidden, hidden) for name in ("wq", "wk", "wv", "wo")]
+        want += [("w_gate", 512, hidden, inter), ("w_up", 512, hidden, inter)]
+        want += [("w_down", 512, inter, hidden)]
+        assert layer_shapes(hidden) == want
+
+    def test_odd_hidden_rejected(self):
+        with pytest.raises(ValueError, match="head dimension"):
+            layer_shapes(65)
+
     def test_800m_layer_shapes(self):
         shapes = layer_shapes(2048)
         names = [s[0] for s in shapes]

@@ -30,7 +30,11 @@ def test_every_target_is_an_attribute_of_its_owner(spans):
     assert not missing, f"names the tracer patches are gone: {missing}"
 
 
-def test_install_then_uninstall_restores_originals(spans):
+@pytest.mark.parametrize("quant", [
+    QuantConfig(format="int4"),
+    QuantConfig(format="none", hadamard=False),  # train_fp's layers: nothing projected
+], ids=["int4", "none"])
+def test_install_then_uninstall_restores_originals(spans, quant):
     targets = [(owner, attr) for owner, attr, _, _ in spans._targets()]
     targets.append((autodiff.Tape, "record"))
     originals = {key: key[0].__dict__[key[1]] for key in targets}
@@ -39,10 +43,10 @@ def test_install_then_uninstall_restores_originals(spans):
     try:
         assert all(owner.__dict__[attr] is not originals[owner, attr]
                    for owner, attr in targets)
-        # one traced W4A4 step runs every wrapper and its counter
+        # one traced step runs every wrapper of its path and its counter
         tracer.begin_unit(0)
         cfg = tq_model.ModelConfig(num_blocks=1, hidden_size=16, num_heads=2,
-                                   max_seq_len=8, quant=QuantConfig(format="int4"))
+                                   max_seq_len=8, quant=quant)
         model = tq_model.build(cfg, Rng(0))
         loss, tape, _ = tq_model.forward_loss(model, Rng(1).integers(0, 256, (2, 9)))
         tape.backward(loss)
@@ -50,10 +54,17 @@ def test_install_then_uninstall_restores_originals(spans):
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is originals[owner, attr] for owner, attr in targets)
-    for span in ("hadamard.ht", "hadamard.iht", "quantizer.project", "qlinear.forward",
-                 "qlinear.backward", "qlinear.qlinear", "model.forward_loss"):
+    for span in ("qlinear.forward", "qlinear.backward", "qlinear.qlinear",
+                 "model.forward_loss"):
         assert agg[span][0] > 0, span
-    assert counts["quantizer.project.elems"] > 0
+    projected = ("hadamard.ht", "hadamard.iht", "quantizer.project")
+    if quant.format == "none":
+        assert not any(span in agg for span in projected)
+        assert counts["qlinear.mask_x.kept"] == counts["qlinear.mask_x.size"] > 0
+        assert counts["qlinear.mask_w.kept"] == counts["qlinear.mask_w.size"] > 0
+    else:
+        assert all(agg[span][0] > 0 for span in projected)
+        assert counts["quantizer.project.elems"] > 0
 
 
 def test_traced_fit_counts_huber_rows(spans):

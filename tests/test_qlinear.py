@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from trustquant import qlinear as ql
-from trustquant.quantizer import QuantConfig
+from trustquant.hadamard import ht
+from trustquant.quantizer import FORMATS, QuantConfig, project
 
 
 def dense_sylvester(n):
@@ -64,6 +65,46 @@ class TestForward:
         assert ctx.w_hat_h.shape == w.shape
         assert ctx.mask_x.shape == x.shape and ctx.mask_x.dtype == bool
         assert ctx.mask_w.shape == w.shape and ctx.mask_w.dtype == bool
+
+
+def frozen_forward(x, w, cfg):
+    """qlinear.forward as it stood with one hand-copied block per operand:
+    the oracle the one per-operand step must match bit for bit."""
+    if cfg.hadamard:
+        x_h = ht(x, axis=1)
+        w_h = ht(w, axis=1)
+    else:
+        x_h, w_h = x, w
+    if cfg.format == "none" or cfg.weight_only:
+        x_hat, mask_x = x_h, np.ones(x_h.shape, dtype=bool)
+    else:
+        px = project(x_h, cfg, axis=1)
+        x_hat, mask_x = px.values, px.trust_mask
+    if cfg.format == "none":
+        w_hat, mask_w = w_h, np.ones(w_h.shape, dtype=bool)
+    else:
+        pw = project(w_h, cfg, axis=1)
+        w_hat, mask_w = pw.values, pw.trust_mask
+    return x_hat @ w_hat.T, ql.QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_only", [False, True])
+@pytest.mark.parametrize("hadamard", [False, True])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_forward_matches_frozen_oracle(fmt, hadamard, weight_only, dtype):
+    rng = np.random.default_rng(38)
+    x = (rng.standard_normal((12, 16)) * 3).astype(dtype)  # outliers leave masked entries
+    w = (rng.standard_normal((10, 16)) * 3).astype(dtype)
+    cfg = QuantConfig(format=fmt, hadamard=hadamard, weight_only=weight_only)
+    y, ctx = ql.forward(x, w, cfg)
+    want_y, want = frozen_forward(x, w, cfg)
+    for name, got, ref in [("y", y, want_y)] + [
+            (f, getattr(ctx, f), getattr(want, f))
+            for f in ("x_hat_h", "w_hat_h", "mask_x", "mask_w")]:
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert ctx.hadamard is want.hadamard
 
 
 class TestBackward:

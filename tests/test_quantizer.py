@@ -515,6 +515,11 @@ class TestQuantConfig:
         with pytest.raises(ValueError):
             QuantConfig(format="int9")
 
+    @pytest.mark.parametrize("group_size", [0, -4, 2.0, "4"])
+    def test_group_size_must_be_positive_int(self, group_size):
+        with pytest.raises(ValueError, match="group_size"):
+            QuantConfig(format="int4", group_size=group_size)
+
     def test_bits_property(self):
         assert QuantConfig(format="int4").bits == 4
         assert QuantConfig(format="int4-sparse-2of4").bits == 4

@@ -221,6 +221,27 @@ class TestTrainLoop:
 
         assert one("a") == one("b")
 
+    def test_mid_run_eval_windows_are_held_out(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "c.txt", 2_048, seed=6)  # 64 windows of 32
+        held_out = ingest(corpus, 32)[:8]
+        drawn = []
+        next_batch = BatchStream.next_batch
+
+        def recording(stream):
+            drawn.append(next_batch(stream))
+            return drawn[-1]
+
+        monkeypatch.setattr(BatchStream, "next_batch", recording)
+        cfg = ModelConfig(num_blocks=1, hidden_size=16, num_heads=2, max_seq_len=32,
+                          quant=QuantConfig(format="none", hadamard=False))
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=24, batch_tokens=128,
+                           data_path=str(corpus), seed=21, eval_interval=6)
+        records = train(build(cfg, Rng(3)), tcfg, tmp_path / "out")
+        assert [r["step"] for r in records if "eval_loss" in r] == [5, 11, 17, 23]
+        rows = np.concatenate(drawn)
+        assert len(rows) == 24 * 4  # more than the 56 training windows: a second epoch
+        assert not (rows[:, None, :] == held_out[None]).all(axis=-1).any()
+
     def test_eval_matches_train_corpus_loss(self, tiny_run):
         root, model, tcfg, records = tiny_run
         windows = ingest(tcfg.data_path, 32)
