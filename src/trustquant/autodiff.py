@@ -73,6 +73,7 @@ class Tape:
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         loss.grad = np.ones_like(loss.value)
+        leaf_buffers = set()  # ids of the buffers behind the leaves' gradients
         for node in reversed(self.nodes):
             if node.grad is None or not node.parents:
                 continue
@@ -81,9 +82,22 @@ class Tape:
             for parent, g in zip(node.parents, grads):
                 if g is None:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is not None:
+                    g = parent.grad + g
+                elif not parent.parents:  # a leaf owns its gradient: copy one another leaf got
+                    if id(_buffer(g)) in leaf_buffers:
+                        g = g.copy()
+                    leaf_buffers.add(id(_buffer(g)))
+                parent.grad = g
         self._consumed = True
         self.nodes = []
+
+
+def _buffer(a):
+    """The array that owns a's memory (a itself unless a is a view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 # --- built-in differentiable primitives -------------------------------------

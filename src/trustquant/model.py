@@ -225,15 +225,17 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint written by save_checkpoint. OSError if `path` cannot
-    be read; ValueError for a file that does not decode as a checkpoint or
-    whose parameter names and shapes differ from those its config defines."""
-    try:
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
-            cfg = ModelConfig.from_json(str(npz[_CONFIG]))
-            params = {name: npz[name] for name in npz.files if name != _CONFIG}
-    except (EOFError, KeyError, NotImplementedError, SyntaxError, ValueError,
-            tokenize.TokenError, zipfile.BadZipFile) as err:
-        raise ValueError(f"not a model checkpoint: {path} ({err})") from err
+    be opened; ValueError for a file that does not decode as a checkpoint
+    (an OSError while decoding included) or whose parameter names and shapes
+    differ from those its config defines."""
+    with open(path, "rb") as f:
+        try:
+            with np.load(f, allow_pickle=False) as npz:
+                cfg = ModelConfig.from_json(str(npz[_CONFIG]))
+                params = {name: npz[name] for name in npz.files if name != _CONFIG}
+        except (EOFError, KeyError, NotImplementedError, OSError, SyntaxError, ValueError,
+                tokenize.TokenError, zipfile.BadZipFile) as err:
+            raise ValueError(f"not a model checkpoint: {path} ({err})") from err
     want = cfg.param_shapes()
     got = {name: p.shape for name, p in params.items()}
     if got != want:

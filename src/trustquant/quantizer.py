@@ -288,7 +288,9 @@ def project(
     """RMS-normalize per group, quantize at alpha*, rescale, compute masks.
 
     Runs in x's dtype on two buffers, x / r and the grid values rescaled in
-    place. Zero-RMS groups map to all-zero output with a full-trust mask.
+    place. Zero-RMS groups map to all-zero output with a full-trust mask. A
+    group holding a NaN or an inf (a non-finite r) maps to all-NaN values in
+    every format, `none` included.
     """
     x = np.asarray(x)
     require_float(x, "projection")
@@ -296,11 +298,17 @@ def project(
     grouped = _group_shape(x, axis, cfg.group_size or x.shape[axis])
     x_norm = np.square(grouped)
     r = np.sqrt(np.mean(x_norm, axis=-1, keepdims=True))
+    nonfinite = ~np.isfinite(r)  # one check per group
     alpha = 1.0 if cfg.format == "none" else alpha_star(cfg.grid_key)
     scale = np.moveaxis(r[..., 0] * alpha, -1, axis)
+
+    def restore(arr):
+        return np.moveaxis(arr.reshape(np.moveaxis(x, axis, -1).shape), -1, axis)
+
     if cfg.format == "none":
-        return ProjectionResult(values=x, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
-    safe_r = np.where(r > 0, r, 1.0)
+        values = restore(np.where(nonfinite, np.nan, grouped)) if nonfinite.any() else x
+        return ProjectionResult(values=values, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
+    safe_r = np.where(nonfinite | (r == 0), 1.0, r)  # a non-finite group is NaN-filled below
     np.divide(grouped, safe_r, out=x_norm)
 
     sparsity_mask = codes = None
@@ -317,9 +325,8 @@ def project(
         zero_group = np.broadcast_to(r == 0, q.shape)
         np.copyto(q, 0.0, where=zero_group)
         np.copyto(mask, True, where=zero_group)
-
-    def restore(arr):
-        return np.moveaxis(arr.reshape(np.moveaxis(x, axis, -1).shape), -1, axis)
+    if nonfinite.any():
+        np.copyto(q, np.nan, where=nonfinite)
 
     return ProjectionResult(
         values=np.ascontiguousarray(restore(q)),

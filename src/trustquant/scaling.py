@@ -2,21 +2,21 @@
 
 The law: L(N, D, P) = exp(a)/(N*eff(P))^alpha + exp(b)/D^beta + exp(e),
 with eff(16) pinned to 1. Fitting minimizes the mean Huber loss
-(delta = 1e-3) of log-loss residuals, starting a Nelder-Mead from every
-point of the grid a, b in {0,5,...,25}, e in {-1,...,1}, alpha, beta in
-{0,0.5,...,2} (log-space parameters), log eff starting at 0.
+(delta = 1e-3) of log-loss residuals over theta = (a, b, e, alpha, beta,
+log eff(P) per fitted P), from every start of the grid a, b in {0,5,...,25},
+e in {-1,...,1}, alpha, beta in {0,0.5,...,2}, log eff 0. One pass gives the
+value and its analytic gradient; log L is a log-sum-exp of the terms'
+exponents, so nothing overflows.
 
-Initial simplex: each coordinate perturbed by 5% of its value, or by 0.25
-when it starts at zero; the 0.25 keeps log-eff dimensions (which all start
-at zero) on the same exploration scale as the log-coefficient grid.
-
-All simplexes advance in lockstep through one vectorized Nelder-Mead
-(reflection 1, expansion 2, contraction 0.5, shrink 0.5). A simplex retires
-with its best vertex once its diameter is not >= 1e-8 (so NaN retires too)
-or after 5000 iterations; only live simplexes are sorted and stepped. An
-iteration makes at most three objective calls: the reflections, one second
-probe per simplex that needs one (expansion, outside or inside contraction)
-and the shrinks. The winner is the deterministic argmin with index tie-break.
+Each start runs a dense BFGS: H = I/|g| at a restart, rescaled by s'y/y'y at
+its first update, no update when s'y <= 0, and a restart when -Hg is no
+descent direction. Its weak-Wolfe line search (c1 1e-4, c2 0.9) starts at
+step 1 and bisects its bracket, or doubles while the bracket has no upper
+end; every objective call evaluates one trial per live start. A start
+retires after 30 trials with no acceptable step, on an accepted step that
+does not lower f, or at 5000 calls. `fit` sorts its records, so a fit
+depends on their set, not their order; each start's bits are its own; the
+winner is the argmin, the first index on ties.
 """
 
 from __future__ import annotations
@@ -121,71 +121,106 @@ def efficiency(params: ScalingLawParams, precision, bits: float | None = None) -
     return params.eff[precision] / bits
 
 
-# --- vectorized multi-start Nelder-Mead --------------------------------------
+# --- batched BFGS --------------------------------------------------------------
 
-def _nelder_mead_batch(objective, starts: np.ndarray, *, xatol: float = 1e-8,
-                       max_iter: int = 5000):
-    """Run one Nelder-Mead per row of `starts`, all in lockstep.
+MAX_CALLS = 5000  # objective calls per fit, the first included
+MAX_TRIALS = 30  # trial steps a line search may take before its start retires
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 
-    objective(X) maps (m, dim) -> (m,). Returns (best points, best values).
-    """
-    starts = np.asarray(starts, dtype=np.float64)
-    n_start, dim = starts.shape
-    n_vert = dim + 1
 
-    pts = np.repeat(starts[:, None, :], n_vert, axis=1)
-    for j in range(dim):
-        col = pts[:, j + 1, j]
-        pts[:, j + 1, j] = np.where(col != 0.0, col * 1.05, 0.25)
-    fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
-    best_pts, best_vals = np.empty_like(starts), np.empty_like(fvals[:, 0])
+def _rowdot(u, v):
+    """Sum of u*v over the last axis, each row on its own (BLAS blocks by batch)."""
+    return (u * v).sum(axis=-1)
 
-    live = np.arange(n_start)  # original row of each simplex still in pts/fvals
-    for it in range(max_iter + 1):  # the last pass only sorts
-        order = np.argsort(fvals, axis=1, kind="stable")
-        fvals = np.take_along_axis(fvals, order, axis=1)
-        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
 
-        diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
-        done = ~(diam >= xatol) | (it == max_iter)  # a NaN diameter retires too
-        best_pts[live[done]], best_vals[live[done]] = pts[done, 0], fvals[done, 0]
-        live, pts, fvals = live[~done], pts[~done], fvals[~done]
-        if not live.size:
-            break
+def _bfgs_batch(objective, starts: np.ndarray):
+    """One dense BFGS per row of `starts`, batched; objective(X) maps (m, dim) to
+    ((m,) values, (m, dim) gradients). Returns (best points, best values)."""
+    x = np.array(starts, dtype=np.float64)
+    n_start, dim = x.shape
+    eye = np.eye(dim)
+    out_x, out_f = np.empty_like(x), np.empty(n_start)
+    f, g = objective(x)
+    live = np.arange(n_start)
+    h = np.zeros((n_start, dim, dim))  # -Hg = 0 is no descent: every start restarts
+    d, slope, t, lo, hi, trials = np.empty_like(x), *np.empty((5, n_start))
+    fresh, new = np.ones((2, n_start), dtype=bool)  # H is a restart's I/|g|; a search begins
+    for _ in range(MAX_CALLS - 1):
+        if new.any():  # direction -Hg, or steepest descent where that is no descent
+            rows = np.flatnonzero(new)
+            d[rows] = -_rowdot(h[rows], g[rows][:, None, :])
+            redo = rows[~(_rowdot(g[rows], d[rows]) < 0)]
+            gnorm = np.sqrt(_rowdot(g[redo], g[redo]))
+            h[redo] = eye / np.where(gnorm > 0, gnorm, 1.0)[:, None, None]  # g = 0 stalls
+            fresh[redo] = True
+            d[redo] = -_rowdot(h[redo], g[redo][:, None, :])
+            slope[rows] = _rowdot(g[rows], d[rows])
+            t[new], lo[new], hi[new], trials[new] = 1.0, 0.0, np.inf, 0
 
-        centroid = pts[:, :-1, :].sum(axis=1) / dim
-        direction = centroid - pts[:, -1, :]
-        xr = centroid + direction
-        fr = objective(xr)
+        xt = x + t[:, None] * d
+        ft, gt = objective(xt)
+        armijo = ft <= f + WOLFE_C1 * t * slope  # False for NaN
+        ok = armijo & (_rowdot(gt, d) >= WOLFE_C2 * slope)
+        trials += 1
+        done = (ok & ~(ft < f)) | (~ok & (trials >= MAX_TRIALS))
+        new = ok & ~done
+        # the others bisect their bracket, or double while it has no upper end
+        hi = np.where(armijo, hi, t)
+        lo = np.where(armijo & ~ok, t, lo)
+        t = np.where(np.isinf(hi), 2.0 * t, 0.5 * (lo + hi))
 
-        # one second probe: expansion (2), outside (0.5) or inside (-0.5) contraction
-        coef = np.select(
-            [fr < fvals[:, 0], (fr >= fvals[:, -2]) & (fr < fvals[:, -1]), fr >= fvals[:, -1]],
-            [2.0, 0.5, -0.5], 0.0)
-        rows = np.flatnonzero(coef)
-        shrink = np.zeros(live.size, dtype=bool)
-        if rows.size:
-            c = coef[rows]
-            x2 = centroid[rows] + c[:, None] * direction[rows]
-            f2 = objective(x2)
-            kept = np.select([c == 2.0, c == 0.5], [f2 < fr[rows], f2 <= fr[rows]],
-                             f2 < fvals[rows, -1])
-            shrink[rows[~kept & (c != 2.0)]] = True  # a contraction that failed
-            xr[rows[kept]], fr[rows[kept]] = x2[kept], f2[kept]
+        if new.any():  # BFGS update of H, skipped where s'y <= 0
+            s, y = xt[new] - x[new], gt[new] - g[new]
+            sy = _rowdot(s, y)
+            good = sy > 0
+            rho = (good / np.where(good, sy, 1.0))[:, None, None]
+            gamma = sy / np.where(good, _rowdot(y, y), 1.0)  # the first update rescales H
+            hs = np.where((fresh[new] & good)[:, None, None], gamma[:, None, None] * eye, h[new])
+            hy = _rowdot(hs, y[:, None, :])
+            sh = s[:, :, None] * hy[:, None, :]
+            coef = rho * rho * _rowdot(y, hy)[:, None, None] + rho
+            h[new] = hs - rho * (sh + sh.transpose(0, 2, 1)) + coef * s[:, :, None] * s[:, None, :]
+            fresh[new] &= ~good
+            x[new], f[new], g[new] = xt[new], ft[new], gt[new]
 
-        accept = ~shrink
-        pts[accept, -1, :] = xr[accept]
-        fvals[accept, -1] = fr[accept]
-        if shrink.any():
-            best = pts[shrink, :1, :]
-            pts[shrink, 1:, :] = best + 0.5 * (pts[shrink, 1:, :] - best)
-            flat = pts[shrink, 1:, :].reshape(-1, dim)
-            fvals[shrink, 1:] = objective(flat).reshape(-1, dim)
-
-    return best_pts, best_vals
+        if done.any():
+            out_x[live[done]], out_f[live[done]] = x[done], f[done]
+            x, f, g, h, d, slope, t, lo, hi, trials, fresh, new, live = (
+                v[~done] for v in (x, f, g, h, d, slope, t, lo, hi, trials, fresh, new, live))
+            if not live.size:
+                break
+    out_x[live], out_f[live] = x, f
+    return out_x, out_f
 
 
 # --- fitting -------------------------------------------------------------------
+
+def _objective(records: list[RunRecord], fit_tags: list):
+    """theta (m, dim) -> ((m,) mean Huber, (m, dim) gradient) on `records`, with
+    theta's log eff columns in `fit_tags` order."""
+    log_n, log_d, log_l = np.log([[r.n_params, r.tokens, r.loss] for r in records]).T
+    # records at the base precision point past the end of the eff block (0.0 pad)
+    eff_col = np.array([fit_tags.index(t) if t in fit_tags else len(fit_tags)
+                        for t in (_parse_tag(r.precision) for r in records)])
+    onehot = eff_col == np.arange(len(fit_tags))[:, None]
+
+    def objective(theta):
+        theta = np.atleast_2d(theta)
+        a, b, e, alpha, beta = (theta[:, i:i + 1] for i in range(5))
+        padded = np.concatenate([theta[:, 5:], np.zeros((len(theta), 1))], axis=1)
+        log_ne = log_n + np.take(padded, eff_col, axis=1)
+        u = np.stack(np.broadcast_arrays(a - alpha * log_ne, b - beta * log_d, e))
+        top = u.max(axis=0)
+        p = np.exp(u - top)
+        total = p.sum(axis=0)
+        resid = log_l - (top + np.log(total))
+        w = p * (np.clip(resid, -HUBER_DELTA, HUBER_DELTA) / (-len(records) * total))
+        grad = np.column_stack([w.sum(axis=2).T, -_rowdot(w[0], log_ne), -_rowdot(w[1], log_d),
+                                -alpha * _rowdot(w[0][:, None, :], onehot)])
+        return huber(resid).mean(axis=1), grad
+
+    return objective
+
 
 def fit(records: list[RunRecord], *, grid: dict | None = None) -> ScalingLawParams:
     """Fit (a, b, e, alpha, beta) and log eff(P) for every P != 16 present.
@@ -195,38 +230,15 @@ def fit(records: list[RunRecord], *, grid: dict | None = None) -> ScalingLawPara
     """
     if not records:
         raise ValueError("no records to fit")
-    n = np.array([r.n_params for r in records], dtype=np.float64)
-    d = np.array([r.tokens for r in records], dtype=np.float64)
-    loss = np.array([r.loss for r in records], dtype=np.float64)
+    records = sorted(records, key=lambda r: (str(r.precision), r.n_params, r.tokens, r.loss))
     tags = [_parse_tag(r.precision) for r in records]
-
-    if len(set(n)) < 2:
+    if len({r.n_params for r in records}) < 2:
         raise ValueError("degenerate data: all records share one model size")
     fit_tags = sorted({t for t in tags if t != BASE_PRECISION}, key=str)
     for tag in fit_tags + [BASE_PRECISION]:
         tokens_for_tag = {r.tokens for r, t in zip(records, tags) if t == tag}
         if tag in tags and len(tokens_for_tag) < 2:
             raise ValueError(f"precision {tag!r} needs >= 2 distinct token counts")
-
-    log_n, log_d, log_l = np.log(n), np.log(d), np.log(loss)
-    tag_index = {t: i for i, t in enumerate(fit_tags)}
-    # records at the base precision point past the end of the eff block (0.0 pad)
-    eff_col = np.array([tag_index.get(t, len(fit_tags)) for t in tags])
-
-    def objective(theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_2d(theta)
-        a, b, e = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
-        alpha, beta = theta[:, 3:4], theta[:, 4:5]
-        padded = np.concatenate([theta[:, 5:], np.zeros((len(theta), 1))], axis=1)
-        log_eff = padded[:, eff_col]
-        with np.errstate(over="ignore"):
-            pred = (
-                np.exp(a - alpha * (log_n[None, :] + log_eff))
-                + np.exp(b - beta * log_d[None, :])
-                + np.exp(e)
-            )
-        resid = log_l[None, :] - np.log(pred)
-        return huber(resid).mean(axis=1)
 
     grid = grid or DEFAULT_GRID
     starts = np.array([
@@ -235,12 +247,10 @@ def fit(records: list[RunRecord], *, grid: dict | None = None) -> ScalingLawPara
             grid["alpha"], grid["beta"], grid["e"], grid["a"], grid["b"]
         )
     ])
-    best_pts, best_vals = _nelder_mead_batch(objective, starts)
+    best_pts, best_vals = _bfgs_batch(_objective(records, fit_tags), starts)
     winner = int(np.argmin(best_vals))  # first index wins ties
     theta = best_pts[winner]
-    eff = {BASE_PRECISION: 1.0}
-    for tag, i in tag_index.items():
-        eff[tag] = float(np.exp(theta[5 + i]))
+    eff = {BASE_PRECISION: 1.0, **{t: float(np.exp(v)) for t, v in zip(fit_tags, theta[5:])}}
     return ScalingLawParams(
         a=float(theta[0]), b=float(theta[1]), e=float(theta[2]),
         alpha=float(theta[3]), beta=float(theta[4]), eff=eff,

@@ -83,6 +83,16 @@ class TestTapeBasics:
         t.backward(ad.add(ad.sum_all(x), ad.sum_all(x)))
         assert np.array_equal(x.grad, 2 * np.ones(2))
 
+    def test_leaves_own_their_gradients(self):
+        # add passes one array to both parents, reshape passes a view of it on
+        t = ad.Tape()
+        a, b, c = (t.leaf(np.zeros(4)) for _ in range(3))
+        t.backward(ad.sum_all(ad.add(ad.add(a, b), ad.reshape(ad.reshape(c, (2, 2)), (4,)))))
+        for x, y in ((a, b), (a, c), (b, c)):
+            assert not np.shares_memory(x.grad, y.grad)
+        for x in (a, b, c):
+            assert np.array_equal(x.grad, np.ones(4))
+
     def test_backward_preserves_forward_values(self):
         t = ad.Tape()
         x = t.leaf(np.array([1.0, 2.0]))

@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import write_corpus
+from trustquant import scaling
 from trustquant.cli import main
 
 
@@ -58,6 +61,26 @@ class TestPlanRuns:
         assert main(["plan-runs", "--sizes", "30e6,50e6", "--precisions", "1,4,16"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 2 * 3 * 3
+
+
+class TestFitScaling:
+    def test_fit_writes_params_and_efficiency(self, tmp_path, capsys):
+        true = scaling.ScalingLawParams(a=math.log(406.4), b=math.log(410.7), e=math.log(1.69),
+                                        alpha=0.34, beta=0.28, eff={4: 0.7, 16: 1.0})
+        rng = np.random.default_rng(12)
+        records = [scaling.RunRecord(n, r * n, p, scaling.predict_loss(true, n, r * n, p)
+                                     * math.exp(0.01 * rng.standard_normal()))
+                   for n in (30e6, 100e6, 300e6) for p in (4, 16) for r in (25, 100)]
+        scaling.write_records_csv(tmp_path / "runs.csv", records)
+        out = tmp_path / "fit"
+        assert main(["fit-scaling", "--records", str(tmp_path / "runs.csv"), "--out", str(out)]) == 0
+        assert "scaling_params.json" in capsys.readouterr().out
+        fitted = scaling.ScalingLawParams.from_json((out / "scaling_params.json").read_text())
+        assert fitted.objective <= scaling.fit_objective(true, records)
+        assert fitted.objective == pytest.approx(scaling.fit_objective(fitted, records), rel=1e-9)
+        lines = (out / "efficiency.csv").read_text().splitlines()
+        assert lines[0] == "precision,eff,eff_per_bit"
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "16"]
 
 
 class TestTrainEval:

@@ -284,6 +284,32 @@ class TestCheckpoint:
         assert type(err.value) is ValueError, repr(err.value.__cause__)
         assert err.value.__cause__ is not None  # a decoding error, not the layout check
 
+    def test_flipped_end_record_byte_never_raises_os_error(self, tmp_path):
+        # the zip end record's directory offset once sent a seek before the
+        # file's start, and the OSError escaped the decoding errors
+        path = tmp_path / "model.ckpt"
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8), Rng(1))
+        save_checkpoint(model, path)
+        whole = path.read_bytes()
+        assert whole[-22:].startswith(b"PK\x05\x06")
+        bad = tmp_path / "bad.ckpt"
+        for at in range(len(whole) - 22, len(whole)):
+            flipped = bytearray(whole)
+            flipped[at] ^= 0x10
+            bad.write_bytes(bytes(flipped))
+            try:
+                back = load_checkpoint(bad)
+            except ValueError as err:
+                assert type(err) is ValueError, f"byte {at}: {err!r}"
+                continue
+            assert back.cfg == model.cfg, at
+            for name, want in model.params.items():
+                assert back.params[name].tobytes() == want.tobytes(), (at, name)
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.ckpt")
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         first = build(tiny_cfg(num_blocks=1), Rng(1))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustquant.quantizer import (
+    FORMATS,
     FP4_GRID,
     QuantConfig,
     alpha_star,
@@ -303,6 +304,22 @@ class TestProject:
         assert np.all(res.values == 0)
         assert np.all(res.trust_mask)
         assert np.all(res.scale == 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_non_finite_group_is_nan(self, fmt, bad):
+        # a NaN or inf must not come out finite: its whole group reads NaN
+        cfg = QuantConfig(format=fmt, group_size=4)
+        x = np.array([[bad, 1.0, 2.0, 3.0, 0.5, 0.25, -1.0, -2.0],
+                      [0.3, -0.7, 1.1, 0.2, 2.0, -1.5, 0.4, 0.9]], dtype=np.float32)
+        got = project(x, cfg).values
+        finite = x.copy()
+        finite[0, :4] = 1.0
+        want = project(finite, cfg).values
+        assert got.dtype == np.float32
+        assert np.isnan(got[0, :4]).all()
+        assert got[0, 4:].tobytes() == want[0, 4:].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_b1_two_point_group(self):
         res = project(np.array([[3.0, -3.0]]), QuantConfig(format="int1"))

@@ -1,14 +1,17 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustquant import scaling
 from trustquant.scaling import (
     DEFAULT_GRID,
     RunRecord,
     ScalingLawParams,
-    _nelder_mead_batch,
+    _bfgs_batch,
     efficiency,
     fit,
     fit_objective,
@@ -54,108 +57,39 @@ def synth_records(params, seed=7, noise=0.0, sizes=(30e6, 100e6, 300e6),
     return records
 
 
-def oracle_nelder_mead_batch(objective, starts, *, xatol=1e-8, max_iter=5000):
-    """Frozen copy of the loop that sorted every simplex each iteration and
-    made a separate objective call for expansion, outside and inside
-    contraction. `_nelder_mead_batch` must match it bit for bit."""
-    starts = np.asarray(starts, dtype=np.float64)
-    n_start, dim = starts.shape
-    n_vert = dim + 1
-
-    pts = np.repeat(starts[:, None, :], n_vert, axis=1)
-    for j in range(dim):
-        col = pts[:, j + 1, j]
-        pts[:, j + 1, j] = np.where(col != 0.0, col * 1.05, 0.25)
-    fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
-
-    active = np.ones(n_start, dtype=bool)
-    for it in range(max_iter + 1):
-        order = np.argsort(fvals, axis=1, kind="stable")
-        fvals = np.take_along_axis(fvals, order, axis=1)
-        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
-
-        diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
-        active &= diam >= xatol
-        if it == max_iter or not active.any():
-            break
-
-        idx = np.flatnonzero(active)
-        p = pts[idx]
-        f = fvals[idx]
-        centroid = (p[:, :-1, :].sum(axis=1)) / dim
-        worst = p[:, -1, :]
-        direction = centroid - worst
-
-        xr = centroid + direction
-        fr = objective(xr)
-
-        new_pt = xr.copy()
-        new_f = fr.copy()
-
-        expand = fr < f[:, 0]
-        if expand.any():
-            xe = centroid[expand] + 2.0 * direction[expand]
-            fe = objective(xe)
-            better = fe < fr[expand]
-            rows = np.flatnonzero(expand)[better]
-            new_pt[rows] = xe[better]
-            new_f[rows] = fe[better]
-
-        shrink = np.zeros(len(idx), dtype=bool)
-        contract = fr >= f[:, -2]
-        if contract.any():
-            outside = contract & (fr < f[:, -1])
-            if outside.any():
-                xc = centroid[outside] + 0.5 * direction[outside]
-                fc = objective(xc)
-                ok = fc <= fr[outside]
-                rows = np.flatnonzero(outside)
-                new_pt[rows[ok]] = xc[ok]
-                new_f[rows[ok]] = fc[ok]
-                shrink[rows[~ok]] = True
-            inside = contract & (fr >= f[:, -1])
-            if inside.any():
-                xcc = centroid[inside] - 0.5 * direction[inside]
-                fcc = objective(xcc)
-                ok = fcc < f[inside, -1]
-                rows = np.flatnonzero(inside)
-                new_pt[rows[ok]] = xcc[ok]
-                new_f[rows[ok]] = fcc[ok]
-                shrink[rows[~ok]] = True
-
-        accept = ~shrink
-        rows = idx[accept]
-        pts[rows, -1, :] = new_pt[accept]
-        fvals[rows, -1] = new_f[accept]
-
-        if shrink.any():
-            rows = idx[shrink]
-            best = pts[rows, :1, :]
-            pts[rows, 1:, :] = best + 0.5 * (pts[rows, 1:, :] - best)
-            flat = pts[rows, 1:, :].reshape(-1, dim)
-            fvals[rows, 1:] = objective(flat).reshape(len(rows), dim)
-
-    return pts[:, 0, :], fvals[:, 0]
-
-
 def rosenbrock(x):
     x = np.atleast_2d(x)
-    return ((1 - x[:, :-1]) ** 2).sum(axis=1) + \
-        100 * ((x[:, 1:] - x[:, :-1] ** 2) ** 2).sum(axis=1)
+    lo, hi = x[:, :-1], x[:, 1:]
+    grad = np.zeros_like(x)
+    grad[:, :-1] = -2 * (1 - lo) - 400 * lo * (hi - lo * lo)
+    grad[:, 1:] += 200 * (hi - lo * lo)
+    return ((1 - lo) ** 2 + 100 * (hi - lo * lo) ** 2).sum(axis=1), grad
 
 
 def scaled_quadratic(x):
     x = np.atleast_2d(x)
-    return ((x - 3.0) ** 2 * np.arange(1, x.shape[1] + 1)).sum(axis=1)
+    w = np.arange(1, x.shape[1] + 1)
+    return ((x - 3.0) ** 2 * w).sum(axis=1), 2.0 * (x - 3.0) * w
 
 
 class CountingObjective:
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.rows = fn, []
 
     def __call__(self, x):
-        self.calls += 1
+        self.rows.append(len(x))
         return self.fn(x)
+
+
+def criterion7_records():
+    """Criterion 7's record set: 6 sizes x 5 precisions x 3 ratios, 1% noise."""
+    return synth_records(chinchilla_like(), noise=0.01,
+                         sizes=(30e6, 50e6, 100e6, 200e6, 430e6, 800e6),
+                         precisions=(1, 2, 3, 4, 16), ratios=(25, 50, 100))
+
+
+# the benchmark's 72 starts: odd-indexed values of each axis but b, even ones of b
+BENCH_GRID = {k: v[::2] if k == "b" else v[1::2] for k, v in DEFAULT_GRID.items()}
 
 
 class TestPredict:
@@ -263,80 +197,104 @@ class TestFit:
             fit([])
 
 
-class TestBatchNelderMead:
+class TestBatchBFGS:
     def test_matches_scipy_on_rosenbrock(self):
-        from scipy.optimize import minimize
-
-        rosen = rosenbrock
+        minimize = pytest.importorskip("scipy.optimize").minimize
         starts = np.array([[0.0, 0.0], [1.5, 2.0], [-1.0, 1.0]])
-        pts, vals = _nelder_mead_batch(rosen, starts)
+        pts, vals = _bfgs_batch(rosenbrock, starts)
         for s, p, v in zip(starts, pts, vals):
-            sim = np.repeat(s[None, :], 3, axis=0)
-            for j in range(2):
-                sim[j + 1, j] = sim[j + 1, j] * 1.05 if sim[j + 1, j] != 0 else 0.25
-            ref = minimize(
-                lambda z: float(rosen(z[None, :])[0]), s, method="Nelder-Mead",
-                options={"xatol": 1e-8, "fatol": 1e-15, "maxiter": 5000,
-                         "maxfev": 40000, "initial_simplex": sim},
-            )
+            ref = minimize(lambda z: tuple(o[0] for o in rosenbrock(z)), s, jac=True,
+                           method="BFGS", options={"gtol": 1e-10})
             assert v <= ref.fun + 1e-12
             assert np.abs(p - ref.x).max() < 1e-6
 
     def test_quadratic_batch(self):
-        def quad(x):
-            x = np.atleast_2d(x)
-            return ((x - 3.0) ** 2).sum(axis=1)
-
-        pts, vals = _nelder_mead_batch(quad, np.zeros((5, 4)))
+        starts = np.random.default_rng(4).uniform(-5.0, 5.0, (6, 4))
+        starts[0] = 0.0
+        pts, vals = _bfgs_batch(scaled_quadratic, starts)
         assert np.all(vals < 1e-14)
         assert np.abs(pts - 3.0).max() < 1e-7
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 17, 300, 5000])
     @pytest.mark.parametrize("fn,dim", [(rosenbrock, 3), (scaled_quadratic, 4)],
                              ids=["rosenbrock", "quadratic"])
-    def test_matches_frozen_oracle(self, fn, dim, max_iter):
+    def test_rows_match_single_runs(self, fn, dim):
         starts = np.random.default_rng(dim).uniform(-2.0, 2.0, (48, dim))
-        starts[:4] = 0.0  # zero coordinates take the 0.25 perturbation
-        pts, vals = _nelder_mead_batch(fn, starts, max_iter=max_iter)
-        want_pts, want_vals = oracle_nelder_mead_batch(fn, starts, max_iter=max_iter)
-        assert pts.tobytes() == want_pts.tobytes()
-        assert vals.tobytes() == want_vals.tobytes()
+        pts, vals = _bfgs_batch(fn, starts)
+        for i in range(len(starts)):
+            p, v = _bfgs_batch(fn, starts[i:i + 1])
+            assert p.tobytes() == pts[i:i + 1].tobytes()
+            assert v.tobytes() == vals[i:i + 1].tobytes()
 
-    @pytest.mark.parametrize("grid,precisions", [
-        (SMALL_GRID, (4, 16)),
-        ({k: v[1::2] for k, v in DEFAULT_GRID.items()}, (1, 2, 3, 4, 16)),
-    ], ids=["small-32", "odd-72"])
-    def test_fit_objective_matches_frozen_oracle(self, monkeypatch, grid, precisions):
-        records = synth_records(chinchilla_like(), noise=0.01, precisions=precisions,
-                                ratios=(25, 50, 100))
-        checked = []
+    def test_fit_starts_match_single_runs(self):
+        # each start's bits must not depend on which other starts share its calls
+        records = criterion7_records()
+        objective = scaling._objective(records, [1, 2, 3, 4])
+        g = BENCH_GRID
+        starts = np.array([[a, b, e, al, be, 0.0, 0.0, 0.0, 0.0] for al, be, e, a, b in product(
+            g["alpha"], g["beta"], g["e"], g["a"], g["b"])])
+        pts, vals = _bfgs_batch(objective, starts)
+        for i in range(len(starts)):
+            p, v = _bfgs_batch(objective, starts[i:i + 1])
+            assert p.tobytes() == pts[i:i + 1].tobytes()
+            assert v.tobytes() == vals[i:i + 1].tobytes()
 
-        def both(objective, starts):
-            got = _nelder_mead_batch(objective, starts)
-            want = oracle_nelder_mead_batch(objective, starts)
-            checked.append(len(starts))
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
-            return got
+    def test_one_trial_per_live_start_per_call(self):
+        counting = CountingObjective(rosenbrock)
+        starts = np.random.default_rng(5).uniform(-2.0, 2.0, (16, 3))
+        _bfgs_batch(counting, starts)
+        assert counting.rows[0] == 16
+        assert all(b <= a for a, b in zip(counting.rows, counting.rows[1:]))
+        assert 1 < len(counting.rows) < scaling.MAX_CALLS
 
-        monkeypatch.setattr(scaling, "_nelder_mead_batch", both)
-        fit(records, grid=grid)
-        assert checked == [math.prod(len(v) for v in grid.values())]
+    def test_call_cap(self, monkeypatch):
+        monkeypatch.setattr(scaling, "MAX_CALLS", 3)
+        counting = CountingObjective(rosenbrock)
+        starts = np.array([[-1.2, 1.0], [0.0, 0.0]])
+        pts, vals = _bfgs_batch(counting, starts)
+        assert counting.rows == [2, 2, 2]
+        assert np.all(vals <= rosenbrock(starts)[0])
+        assert np.array_equal(rosenbrock(pts)[0], vals)
 
-    def test_one_second_probe_per_iteration(self):
-        # 1-D minimum at 1.06: from 10 the reflection expands, from 1.0 it
-        # contracts outside, and from 1.04 it contracts inside
-        def bowl(x):
-            return ((np.atleast_2d(x) - 1.06) ** 2).sum(axis=1)
+    def test_gradient_matches_central_differences(self):
+        records = criterion7_records()
+        objective = scaling._objective(records, [1, 2, 3, 4])
+        rng = np.random.default_rng(11)
+        theta = np.column_stack([rng.uniform(0, 25, (8, 2)), rng.uniform(-1, 1, 8),
+                                 rng.uniform(0.05, 2, (8, 2)), rng.uniform(-3, 0.5, (8, 4))])
+        _, grad = objective(theta)
+        h = 1e-6
+        for row, g in zip(theta, grad):
+            steps = h * np.eye(len(row))
+            numeric = (objective(row + steps)[0] - objective(row - steps)[0]) / (2 * h)
+            assert np.abs(numeric - g).max() <= 1e-6 * np.abs(g).max()
 
-        starts = np.array([[10.0], [1.0], [1.04]])
-        new, old = CountingObjective(bowl), CountingObjective(bowl)
-        pts, vals = _nelder_mead_batch(new, starts, max_iter=1)
-        want_pts, want_vals = oracle_nelder_mead_batch(old, starts, max_iter=1)
-        assert old.calls >= 5  # initial, reflection, and one call per probe kind
-        assert new.calls <= 4  # initial, reflection, second probe, shrink
-        assert pts.tobytes() == want_pts.tobytes()
-        assert vals.tobytes() == want_vals.tobytes()
+    def test_objective_rows_are_batch_independent(self):
+        records = criterion7_records()
+        objective = scaling._objective(records, [1, 2, 3, 4])
+        rng = np.random.default_rng(3)
+        theta = np.column_stack([rng.uniform(0, 25, (5000, 2)), rng.uniform(-1, 1, 5000),
+                                 rng.uniform(0, 2, (5000, 2)), rng.uniform(-3, 0.5, (5000, 4))])
+        vals, grads = objective(theta)
+        for i in rng.choice(5000, 200, replace=False):
+            v, g = objective(theta[i:i + 1])
+            assert v.tobytes() == vals[i:i + 1].tobytes()
+            assert g.tobytes() == grads[i:i + 1].tobytes()
+
+    def test_objective_matches_fit_objective(self):
+        records = criterion7_records()
+        params = chinchilla_like()
+        theta = [params.a, params.b, params.e, params.alpha, params.beta] + [
+            math.log(TABLE_EFF[p]) for p in (1, 2, 3, 4)]
+        value, _ = scaling._objective(records, [1, 2, 3, 4])(np.array(theta))
+        assert value[0] == pytest.approx(fit_objective(params, records), rel=1e-12)
+
+    @settings(max_examples=5, deadline=None)
+    @given(order=st.permutations(range(12)))
+    def test_fit_is_permutation_invariant(self, order):
+        records = synth_records(chinchilla_like(eff={4: 0.7, 16: 1.0}), noise=0.01)
+        fitted = fit(records, grid=SMALL_GRID)
+        again = fit([records[i] for i in order], grid=SMALL_GRID)
+        assert again.to_json() == fitted.to_json()
 
 
 class TestEfficiency:

@@ -23,6 +23,7 @@ from trustquant.trainer import (
     peak_lr_for,
     steps,
     train,
+    train_step,
 )
 
 
@@ -119,6 +120,18 @@ class TestClip:
         g = {"a": np.array([3.0, 4.0])}
         clipped, norm = clip_grad_norm(g, 1.0)
         assert np.allclose(clipped["a"], np.array([3.0, 4.0]) / 5.0)
+
+
+    def test_two_leaves_of_one_add_clip_independently(self):
+        # add hands one upstream array to both parents; each leaf must still
+        # own its gradient, or the in-place clip scales a shared array twice
+        tape = ad.Tape()
+        a, b = tape.leaf(np.zeros(4)), tape.leaf(np.zeros(4))
+        tape.backward(ad.sum_all(ad.add(a, b)))
+        clipped, norm = clip_grad_norm({"a": a.grad, "b": b.grad}, 1.0)
+        assert norm == pytest.approx(math.sqrt(8))
+        for g in clipped.values():
+            assert np.allclose(g, 1 / math.sqrt(8), rtol=1e-12)
 
 
 class TestIngest:
@@ -297,6 +310,20 @@ class TestTrainStep:
         rows = [json.loads(line)
                 for line in (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()]
         assert [loss for _, _, loss, _, _ in yielded] == [r["loss"] for r in rows]
+
+    def test_leaf_gradients_share_no_memory(self, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=8)
+        tcfg = TrainConfig(peak_lr=2e-3, total_steps=1, batch_tokens=128,
+                           data_path=str(corpus), seed=21)
+        model = int4_model()
+        stream = BatchStream(ingest(corpus, model.cfg.max_seq_len), 4, seed=21)
+        *_, trace = train_step(model, stream.next_batch(), AdamWState(), 1e-3, tcfg)
+        grads = [(name, leaf.grad) for name, leaf in trace.param_leaves.items()]
+        assert len(grads) == len(model.params)
+        for i, (name, g) in enumerate(grads):
+            assert g is not None, name
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
 
     def test_divergence_saves_checkpoint_and_applies_no_update(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=9)
