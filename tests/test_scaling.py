@@ -81,6 +81,91 @@ class CountingObjective:
         return self.fn(x)
 
 
+def oracle_nelder_mead_batch(objective, starts, *, xatol=1e-8, max_iter=5000):
+    """Frozen copy of the batched Nelder-Mead loop the fit ran before BFGS: it
+    sorts every simplex each iteration and makes a separate objective call for
+    expansion, outside and inside contraction. objective(X) maps (m, dim) to
+    (m,) values. `_bfgs_batch` must end no higher than it."""
+    starts = np.asarray(starts, dtype=np.float64)
+    n_start, dim = starts.shape
+    n_vert = dim + 1
+
+    pts = np.repeat(starts[:, None, :], n_vert, axis=1)
+    for j in range(dim):
+        col = pts[:, j + 1, j]
+        pts[:, j + 1, j] = np.where(col != 0.0, col * 1.05, 0.25)
+    fvals = objective(pts.reshape(-1, dim)).reshape(n_start, n_vert)
+
+    active = np.ones(n_start, dtype=bool)
+    for it in range(max_iter + 1):
+        order = np.argsort(fvals, axis=1, kind="stable")
+        fvals = np.take_along_axis(fvals, order, axis=1)
+        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+
+        diam = np.abs(pts - pts[:, :1, :]).max(axis=(1, 2))
+        active &= diam >= xatol
+        if it == max_iter or not active.any():
+            break
+
+        idx = np.flatnonzero(active)
+        p = pts[idx]
+        f = fvals[idx]
+        centroid = (p[:, :-1, :].sum(axis=1)) / dim
+        worst = p[:, -1, :]
+        direction = centroid - worst
+
+        xr = centroid + direction
+        fr = objective(xr)
+
+        new_pt = xr.copy()
+        new_f = fr.copy()
+
+        expand = fr < f[:, 0]
+        if expand.any():
+            xe = centroid[expand] + 2.0 * direction[expand]
+            fe = objective(xe)
+            better = fe < fr[expand]
+            rows = np.flatnonzero(expand)[better]
+            new_pt[rows] = xe[better]
+            new_f[rows] = fe[better]
+
+        shrink = np.zeros(len(idx), dtype=bool)
+        contract = fr >= f[:, -2]
+        if contract.any():
+            outside = contract & (fr < f[:, -1])
+            if outside.any():
+                xc = centroid[outside] + 0.5 * direction[outside]
+                fc = objective(xc)
+                ok = fc <= fr[outside]
+                rows = np.flatnonzero(outside)
+                new_pt[rows[ok]] = xc[ok]
+                new_f[rows[ok]] = fc[ok]
+                shrink[rows[~ok]] = True
+            inside = contract & (fr >= f[:, -1])
+            if inside.any():
+                xcc = centroid[inside] - 0.5 * direction[inside]
+                fcc = objective(xcc)
+                ok = fcc < f[inside, -1]
+                rows = np.flatnonzero(inside)
+                new_pt[rows[ok]] = xcc[ok]
+                new_f[rows[ok]] = fcc[ok]
+                shrink[rows[~ok]] = True
+
+        accept = ~shrink
+        rows = idx[accept]
+        pts[rows, -1, :] = new_pt[accept]
+        fvals[rows, -1] = new_f[accept]
+
+        if shrink.any():
+            rows = idx[shrink]
+            best = pts[rows, :1, :]
+            pts[rows, 1:, :] = best + 0.5 * (pts[rows, 1:, :] - best)
+            flat = pts[rows, 1:, :].reshape(-1, dim)
+            fvals[rows, 1:] = objective(flat).reshape(len(rows), dim)
+
+    return pts[:, 0, :], fvals[:, 0]
+
+
 def criterion7_records():
     """Criterion 7's record set: 6 sizes x 5 precisions x 3 ratios, 1% noise."""
     return synth_records(chinchilla_like(), noise=0.01,
@@ -295,6 +380,46 @@ class TestBatchBFGS:
         fitted = fit(records, grid=SMALL_GRID)
         again = fit([records[i] for i in order], grid=SMALL_GRID)
         assert again.to_json() == fitted.to_json()
+
+
+class TestBatchNelderMead:
+    """BFGS against the frozen Nelder-Mead oracle, from the same starts."""
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 17, 300, 5000])
+    @pytest.mark.parametrize("fn,dim", [(rosenbrock, 3), (scaled_quadratic, 4)],
+                             ids=["rosenbrock", "quadratic"])
+    def test_matches_frozen_oracle(self, fn, dim, max_iter):
+        # no start ends higher than after max_iter Nelder-Mead iterations, and
+        # every start the oracle has taken to the minimum ends at its point
+        starts = np.random.default_rng(dim).uniform(-2.0, 2.0, (48, dim))
+        starts[:4] = 0.0  # zero coordinates take the 0.25 perturbation
+        pts, vals = _bfgs_batch(fn, starts)
+        want_pts, want_vals = oracle_nelder_mead_batch(lambda x: fn(x)[0], starts,
+                                                       max_iter=max_iter)
+        assert np.all(vals <= want_vals)
+        converged = want_vals < 1e-14  # within 1e-7 of the minimum on the quadratic
+        assert np.all(np.abs(pts[converged] - want_pts[converged]) < 1e-7)
+
+    @pytest.mark.parametrize("grid,precisions", [
+        (SMALL_GRID, (4, 16)),
+        ({k: v[1::2] for k, v in DEFAULT_GRID.items()}, (1, 2, 3, 4, 16)),
+    ], ids=["small-32", "odd-72"])
+    def test_fit_objective_matches_frozen_oracle(self, monkeypatch, grid, precisions):
+        records = synth_records(chinchilla_like(), noise=0.01, precisions=precisions,
+                                ratios=(25, 50, 100))
+        checked = []
+
+        def both(objective, starts):
+            got = _bfgs_batch(objective, starts)
+            want = oracle_nelder_mead_batch(lambda x: objective(x)[0], starts)
+            checked.append(len(starts))
+            assert got[1].min() <= want[1].min() * (1 + 1e-12)
+            return got
+
+        monkeypatch.setattr(scaling, "_bfgs_batch", both)
+        fitted = fit(records, grid=grid)
+        assert checked == [math.prod(len(v) for v in grid.values())]
+        assert fitted.objective == pytest.approx(fit_objective(fitted, records), rel=1e-12)
 
 
 class TestEfficiency:
