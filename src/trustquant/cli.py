@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, packgemm, scaling, trainer
 from .model import ModelConfig, build, load_checkpoint
-from .quantizer import QuantConfig, alpha_star, gaussian_grid_mse
+from .quantizer import FORMATS, INT_FORMATS, QuantConfig, alpha_star, gaussian_grid_mse
 from .tensor import Rng
 
 
@@ -37,16 +37,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_numbers(parse):
+    """An argparse type: comma-separated values, each finite and positive."""
+    def parse_list(text: str) -> list:
+        values = [parse(item) for item in text.split(",")]
+        if bad := [v for v in values if not (math.isfinite(v) and v > 0)]:
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {bad[0]}")
+        return values
+    return parse_list
+
+
 def _quant_overrides(args, quant: QuantConfig) -> QuantConfig:
     updates = {}
-    if args.format or args.bits:
-        fmt = args.format or "int"
-        if fmt == "int":
-            updates["format"] = f"int{args.bits or 4}"
-        elif fmt == "fp4":
-            updates["format"] = "fp4"
-        elif fmt == "sparse":
-            updates["format"] = "int4-sparse-2of4"
+    if args.format:
+        updates["format"] = args.format
     if args.no_hadamard:
         updates["hadamard"] = False
     if args.weight_only:
@@ -59,10 +63,7 @@ def _quant_overrides(args, quant: QuantConfig) -> QuantConfig:
 def _load_config(path):
     with open(path) as f:
         raw = json.load(f)
-    quant = QuantConfig(**raw["model"].pop("quant", {}))
-    model_cfg = ModelConfig(quant=quant, **raw["model"])
-    train_cfg = trainer.TrainConfig(**raw["train"])
-    return model_cfg, train_cfg
+    return ModelConfig(**raw["model"]), trainer.TrainConfig(**raw["train"])
 
 
 def _write_rows(out, header, rows):
@@ -96,7 +97,8 @@ def cmd_align(args) -> int:
     model = load_checkpoint(args.checkpoint)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
     seed = _effective_seed(args)
-    batches = trainer.sample_batches(windows, args.batch_size, args.batches, seed)
+    stream = trainer.BatchStream(windows, args.batch_size, seed)
+    batches = [stream.next_batch() for _ in range(args.batches)]
     records = diagnostics.alignment_sweep(model, batches)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "alignment.csv")
@@ -140,7 +142,7 @@ def cmd_mask_stats(args) -> int:
 def cmd_alpha_table(args) -> int:
     _write_rows(sys.stdout, ["grid", "alpha_star", "mse"], [
         (key, f"{alpha_star(key):.6f}", f"{gaussian_grid_mse(alpha_star(key), key):.8e}")
-        for key in [1, 2, 3, 4, 5, 6, 7, 8, "fp4"]
+        for key in [*INT_FORMATS.values(), "fp4"]
     ])
     return 0
 
@@ -163,11 +165,9 @@ def cmd_fit_scaling(args) -> int:
 
 
 def cmd_plan_runs(args) -> int:
-    sizes = [float(s) for s in args.sizes.split(",")]
-    ratios = [int(r) for r in args.ratios.split(",")]
     precisions = ([scaling._parse_tag(p) for p in args.precisions.split(",")]
                   if args.precisions else (scaling.BASE_PRECISION,))
-    rows = scaling.plan_runs(sizes, ratios=ratios, precisions=precisions,
+    rows = scaling.plan_runs(args.sizes, ratios=args.ratios, precisions=precisions,
                              lr_fn=trainer.peak_lr_for)
     _write_rows(sys.stdout, ["n_params", "precision", "ratio", "tokens", "peak_lr"], [
         (r["n_params"], r["precision"], r["ratio"], r["tokens"], f"{r['peak_lr']:.6g}")
@@ -218,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_quant_flags(p):
-        p.add_argument("--bits", type=int, default=None)
-        p.add_argument("--format", choices=["int", "fp4", "sparse"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--no-hadamard", action="store_true")
         p.add_argument("--weight-only", action="store_true")
         p.add_argument("--trust-scale", type=float, default=None)
@@ -266,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fit_scaling)
 
     p = sub.add_parser("plan-runs", help="emit the N x P x (D/N) run matrix")
-    p.add_argument("--sizes", required=True, help="comma-separated parameter counts")
-    p.add_argument("--ratios", default="25,50,100")
+    p.add_argument("--sizes", required=True, type=_positive_numbers(float),
+                   help="comma-separated parameter counts")
+    p.add_argument("--ratios", default="25,50,100", type=_positive_numbers(int))
     p.add_argument("--precisions", default=None)
     p.set_defaults(fn=cmd_plan_runs)
 

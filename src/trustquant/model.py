@@ -53,6 +53,8 @@ class ModelConfig:
             )
         if self.head_dim % 2:  # rotary turns each head's dimensions in pairs
             raise ValueError(f"head dimension {self.head_dim} must be even")
+        if not isinstance(self.quant, QuantConfig):  # a dict, as parsed from JSON
+            self.quant = QuantConfig(**self.quant)
 
     @property
     def head_dim(self) -> int:
@@ -83,9 +85,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        d = json.loads(text)
-        d["quant"] = QuantConfig(**d["quant"])
-        return cls(**d)
+        return cls(**json.loads(text))
 
 
 @dataclass
@@ -102,7 +102,8 @@ class Model:
         self.cfg = cfg
         self.params = params
 
-    def is_norm_gain(self, name: str) -> bool:
+    @staticmethod
+    def is_norm_gain(name: str) -> bool:
         return name.endswith("norm")
 
 
@@ -120,7 +121,7 @@ def build(cfg: ModelConfig, rng: Rng) -> Model:
     residual_std = 0.02 / np.sqrt(2.0 * cfg.num_blocks)
     params: dict[str, np.ndarray] = {}
     for name, shape in cfg.param_shapes().items():
-        if name.endswith("norm"):
+        if Model.is_norm_gain(name):
             params[name] = np.ones(shape, dtype=F32)
         else:
             std = residual_std if name.endswith(("wo", "w_down")) else 0.02
@@ -231,6 +232,9 @@ def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         try:
             with np.load(f, allow_pickle=False) as npz:
+                # np.load can stop short of a member's end, where zip checks the CRC
+                if (bad := npz.zip.testzip()) is not None:
+                    raise ValueError(f"member {bad!r} fails its CRC check")
                 cfg = ModelConfig.from_json(str(npz[_CONFIG]))
                 params = {name: npz[name] for name in npz.files if name != _CONFIG}
         except (EOFError, KeyError, NotImplementedError, OSError, SyntaxError, ValueError,

@@ -49,8 +49,8 @@ class RunRecord:
     loss: float
 
     def __post_init__(self):
-        if self.n_params <= 0 or self.tokens <= 0 or self.loss <= 0:
-            raise ValueError(f"run record fields must be positive: {self}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.n_params, self.tokens, self.loss)):
+            raise ValueError(f"run record fields must be finite and positive: {self}")
 
 
 @dataclass

@@ -32,11 +32,13 @@ LR_ANCHORS = {
 }
 
 
-class TrainerError(RuntimeError):
-    pass
+# Every run uses one AdamW setup and one warmup length.
+ADAM_BETAS = (0.90, 0.95)
+ADAM_EPS = 1e-8
+WARMUP_FRAC = 0.10
 
 
-class TrainingDiverged(TrainerError):
+class TrainingDiverged(RuntimeError):
     pass
 
 
@@ -46,17 +48,12 @@ class TrainConfig:
     total_steps: int
     batch_tokens: int
     data_path: str = ""
-    warmup_frac: float = 0.10
-    betas: tuple[float, float] = (0.90, 0.95)
     weight_decay: float = 0.1
     clip_norm: float = 1.0
-    eps: float = 1e-8
     seed: int = 0
     eval_interval: int = 0  # 0 disables mid-run eval rows
 
     def __post_init__(self):
-        if not 0 < self.warmup_frac < 1:
-            raise ValueError("warmup_frac must be in (0, 1)")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if self.total_steps < 1:
@@ -64,10 +61,10 @@ class TrainConfig:
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup 0 -> peak over warmup_frac * total, cosine decay to 0."""
+    """Linear warmup 0 -> peak over WARMUP_FRAC * total, cosine decay to 0."""
     if not 0 <= step <= cfg.total_steps:
         raise ValueError(f"step {step} outside [0, {cfg.total_steps}]")
-    warm = cfg.warmup_frac * cfg.total_steps
+    warm = WARMUP_FRAC * cfg.total_steps
     if step <= warm:
         return cfg.peak_lr * step / warm
     progress = (step - warm) / (cfg.total_steps - warm)
@@ -99,11 +96,9 @@ def adamw_step(
     cfg: TrainConfig,
     skip_decay=(),
 ) -> None:
-    """Decoupled-weight-decay Adam update, in place."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainerError(f"non-finite gradient in {name!r} at step {state.step}")
-    beta1, beta2 = cfg.betas
+    """Decoupled-weight-decay Adam update, in place. The gradients must be
+    finite; `train_step` checks their global norm before calling this."""
+    beta1, beta2 = ADAM_BETAS
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
@@ -120,7 +115,7 @@ def adamw_step(
         v += (1.0 - beta2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= (lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(p.dtype, copy=False)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
         if cfg.weight_decay and name not in skip_decay:
             p *= 1.0 - lr * cfg.weight_decay
 
@@ -222,12 +217,6 @@ def steps(model: Model, cfg: TrainConfig, windows: np.ndarray):
         lr = lr_at(step, cfg)
         loss, grad_norm, trace = train_step(model, stream.next_batch(), state, lr, cfg)
         yield step, lr, loss, grad_norm, trace
-
-
-def sample_batches(windows: np.ndarray, batch_size: int, count: int, seed: int) -> list:
-    """The first `count` batches of a seeded BatchStream over `windows`."""
-    stream = BatchStream(windows, batch_size, seed)
-    return [stream.next_batch() for _ in range(count)]
 
 
 def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:

@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import write_corpus
 from trustquant import scaling
-from trustquant.cli import main
+from trustquant.cli import _quant_overrides, build_parser, main
+from trustquant.quantizer import FORMATS, QuantConfig
 
 
 def run_cli(args):
@@ -62,6 +65,18 @@ class TestPlanRuns:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 2 * 3 * 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sizes", "0"), ("--sizes", "-5e6"), ("--sizes", "30e6,nan"), ("--sizes", "inf"),
+        ("--ratios", "0"), ("--ratios", "25,-50"),
+    ])
+    def test_rejects_values_that_are_not_finite_positive(self, flag, value, capsys):
+        args = ["--sizes", "30e6", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["plan-runs", *args])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "must be finite and positive" in err
+
 
 class TestFitScaling:
     def test_fit_writes_params_and_efficiency(self, tmp_path, capsys):
@@ -110,7 +125,7 @@ class TestTrainEval:
     def test_quant_flag_overrides(self, workspace, tmp_path):
         root, cfg_path, _ = workspace
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "w2"),
-                     "--format", "int", "--bits", "2", "--no-hadamard",
+                     "--format", "int2", "--no-hadamard",
                      "--trust-scale", "1.25"]) == 0
         from trustquant.model import load_checkpoint
 
@@ -127,6 +142,22 @@ class TestTrainEval:
         a = (tmp_path / "a" / "metrics.jsonl").read_text()
         b = (tmp_path / "b" / "metrics.jsonl").read_text()
         assert a == b
+
+
+class TestFormatFlag:
+    @given(st.sampled_from(FORMATS))
+    @settings(max_examples=50, deadline=None)
+    def test_every_format_name_passes_through(self, fmt):
+        args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o",
+                                          "--format", fmt])
+        assert _quant_overrides(args, QuantConfig()).format == fmt
+
+    def test_bits_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["train", "--config", "c.json", "--out", "o",
+                                       "--bits", "2"])
+        assert exit_.value.code == 2
+        assert "--bits" in capsys.readouterr().err
 
 
 class TestSeedPrecedence:

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import tempfile
 import time
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustquant.diagnostics import mask_fraction
 from trustquant.model import (
@@ -15,7 +20,7 @@ from trustquant.model import (
     pad_to_multiple,
     save_checkpoint,
 )
-from trustquant.quantizer import QuantConfig
+from trustquant.quantizer import FORMATS, QuantConfig
 from trustquant.tensor import Rng
 
 
@@ -227,6 +232,32 @@ class TestCheckpoint:
                 assert got.tobytes() == want.tobytes()
                 assert got.flags.writeable  # training continues from a loaded model
 
+    @given(
+        st.builds(
+            lambda heads, head_half, **kw: ModelConfig(
+                hidden_size=heads * 2 * head_half, num_heads=heads, **kw),
+            heads=st.integers(1, 2), head_half=st.integers(1, 4),
+            num_blocks=st.integers(1, 2), vocab_size=st.integers(2, 16),
+            max_seq_len=st.integers(2, 64), rope_base=st.floats(1.0, 1e6),
+            quant=st.builds(
+                QuantConfig, format=st.sampled_from(FORMATS),
+                group_size=st.none() | st.integers(1, 8), hadamard=st.booleans(),
+                outer_trust_scale=st.none() | st.floats(0.1, 4.0),
+                weight_only=st.booleans(), estimator=st.sampled_from(["trust", "ste"]))),
+        st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_property(self, cfg, seed):
+        model = build(cfg, Rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(model, path)
+            back = load_checkpoint(path)
+        assert back.cfg == cfg
+        assert list(back.params) == list(model.params)
+        for name, want in model.params.items():
+            got = back.params[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_truncation_at_every_offset_raises_value_error(self, tmp_path):
         # the small tensors only, so every field kind is cut without a 30 kB file
         model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
@@ -283,6 +314,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert type(err.value) is ValueError, repr(err.value.__cause__)
         assert err.value.__cause__ is not None  # a decoding error, not the layout check
+
+    def test_flipped_npy_header_length_raises_value_error(self, tmp_path):
+        # np.load reads a member over 4 KiB only as far as its .npy header says,
+        # so without a CRC pass of its own a longer header length loaded other values
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5)), path)
+        whole = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            large = [info for info in archive.infolist() if info.file_size > 4096]
+        assert [info.filename for info in large] == [
+            "block0.w_gate.npy", "block0.w_up.npy", "block0.w_down.npy"]
+        bad = tmp_path / "bad.ckpt"
+        for info in large:
+            at = whole.index(b"\x93NUMPY", info.header_offset) + 8  # header length, low byte
+            flipped = bytearray(whole)
+            flipped[at] ^= 0x10
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError, match="not a model checkpoint") as err:
+                load_checkpoint(bad)
+            assert type(err.value) is ValueError, f"{info.filename}: {err.value!r}"
 
     def test_flipped_end_record_byte_never_raises_os_error(self, tmp_path):
         # the zip end record's directory offset once sent a seek before the

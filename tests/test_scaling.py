@@ -511,3 +511,11 @@ class TestRecordIO:
     def test_invalid_record(self):
         with pytest.raises(ValueError):
             RunRecord(0, 1e9, 4, 3.0)
+
+    @pytest.mark.parametrize("field", ["n_params", "tokens", "loss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_record_rejected(self, field, value):
+        # one NaN among valid records once made fit return objective NaN at its start values
+        fields = {**dict(n_params=3e7, tokens=3e9, precision=4, loss=3.21), field: value}
+        with pytest.raises(ValueError, match="finite"):
+            RunRecord(**fields)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import write_corpus
 from trustquant import autodiff as ad
@@ -10,10 +13,10 @@ from trustquant.model import ModelConfig, build, forward_loss, load_checkpoint
 from trustquant.quantizer import QuantConfig
 from trustquant.tensor import Rng
 from trustquant.trainer import (
+    ADAM_EPS,
     AdamWState,
     BatchStream,
     TrainConfig,
-    TrainerError,
     TrainingDiverged,
     adamw_step,
     clip_grad_norm,
@@ -59,10 +62,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             lr_at(101, basic_cfg(total_steps=100))
 
-    def test_warmup_frac_validated(self):
-        with pytest.raises(ValueError):
-            basic_cfg(warmup_frac=0.0)
-
 
 class TestAdamW:
     def test_pure_decay_with_zero_gradient(self):
@@ -76,7 +75,7 @@ class TestAdamW:
         g = np.array([0.5, -2.0, 0.01])
         p = {"w": np.zeros(3)}
         adamw_step(p, {"w": g.copy()}, AdamWState(), lr=0.01, cfg=cfg)
-        want = -0.01 * g / (np.abs(g) + cfg.eps)
+        want = -0.01 * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(p["w"], want, rtol=1e-6)
 
     def test_quadratic_bowl_convergence(self):
@@ -89,11 +88,6 @@ class TestAdamW:
             grads = {"w": p["w"] - target}
             adamw_step(p, grads, state, lr=0.3 * (1 - step / 100), cfg=cfg)
         assert np.abs(p["w"] - target).max() < 1e-3
-
-    def test_nan_gradient_aborts(self):
-        cfg = basic_cfg()
-        with pytest.raises(TrainerError, match="non-finite"):
-            adamw_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, AdamWState(), 0.01, cfg)
 
     def test_decay_skipped_for_norm_gains(self):
         cfg = basic_cfg(weight_decay=0.1)
@@ -121,6 +115,24 @@ class TestClip:
         clipped, norm = clip_grad_norm(g, 1.0)
         assert np.allclose(clipped["a"], np.array([3.0, 4.0]) / 5.0)
 
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dtype: st.lists(
+        hnp.arrays(dtype, hnp.array_shapes(max_dims=2, max_side=5),
+                   elements=st.floats(-1e3, 1e3, width=np.finfo(dtype).bits)),
+        min_size=1, max_size=4)), st.floats(1e-3, 1e4))
+    @settings(max_examples=60, deadline=None)
+    def test_norm_at_or_below_threshold(self, arrays, threshold):
+        def global_norm(gs):
+            return math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in gs))
+
+        grads = {f"g{i}": a.copy() for i, a in enumerate(arrays)}
+        clipped, norm = clip_grad_norm(grads, threshold)
+        assert norm == global_norm(arrays)
+        if norm <= threshold:
+            for g, a in zip(clipped.values(), arrays):
+                assert g.tobytes() == a.tobytes()
+        else:  # each entry, and the factor, rounds once in the gradient's dtype
+            eps = np.finfo(arrays[0].dtype).eps
+            assert global_norm(clipped.values()) <= threshold * (1 + 4 * eps)
 
     def test_two_leaves_of_one_add_clip_independently(self):
         # add hands one upstream array to both parents; each leaf must still
