@@ -2,7 +2,11 @@
 
 Every projection (q/k/v/o, gate/up/down) runs through the quantized linear
 layer under the model's `cfg.quant`; embedding, output head, and
-normalization gains are never quantized.
+normalization gains are never quantized. Projections that read one
+activation form one `qlinear` group, (wq, wk, wv) on the attention norm and
+(w_gate, w_up) on the MLP norm, so that activation is transformed and
+projected once; wo and w_down are groups of one. Each weight keeps its own
+tape node and backward.
 The MLP intermediate width is 8/3 of the hidden size padded up to a multiple
 of 256. Byte-level vocabulary (256) by default.
 
@@ -47,6 +51,10 @@ class ModelConfig:
     quant: QuantConfig = field(default_factory=QuantConfig)
 
     def __post_init__(self):
+        for name in ("num_blocks", "hidden_size", "num_heads", "vocab_size", "max_seq_len"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be a positive int, got {size!r}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden_size} not divisible by {self.num_heads} heads"
@@ -85,7 +93,14 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+        """ValueError for text that is not the JSON of a ModelConfig."""
+        fields = json.loads(text)
+        if not isinstance(fields, dict):
+            raise ValueError(f"config JSON is a {type(fields).__name__}, not an object")
+        try:
+            return cls(**fields)
+        except TypeError as err:  # a key that ModelConfig or QuantConfig does not take
+            raise ValueError(f"bad config: {err}") from err
 
 
 @dataclass
@@ -155,32 +170,32 @@ def forward_logits(model: Model, tokens: np.ndarray):
     mask = _causal_mask(seq)
     scale = F32(1.0 / np.sqrt(hd))
 
-    def proj(x, name):
-        node, ctx = qlinear(x, leaves[name], cfg.quant)
-        trace.layer_contexts[name] = ctx
-        return node
+    def proj(x, *names):
+        """One output node per named weight; the weights share x's operand."""
+        outs = qlinear(x, [leaves[name] for name in names], cfg.quant)
+        for name, (_, ctx) in zip(names, outs):
+            trace.layer_contexts[name] = ctx
+        return [node for node, _ in outs]
 
     x = ad.embedding_gather(leaves["embedding"], tokens)  # (B, S, h)
     for b in range(cfg.num_blocks):
         p = f"block{b}."
         a = ad.rmsnorm(x, leaves[p + "attn_norm"])
-        q = ad.reshape(proj(a, p + "wq"), (batch, seq, nh, hd))
-        k = ad.reshape(proj(a, p + "wk"), (batch, seq, nh, hd))
-        v = ad.reshape(proj(a, p + "wv"), (batch, seq, nh, hd))
+        q, k, v = (ad.reshape(node, (batch, seq, nh, hd))
+                   for node in proj(a, p + "wq", p + "wk", p + "wv"))
         q = ad.rotary(ad.transpose(q, (0, 2, 1, 3)), cos, sin)  # (B, nh, S, hd)
         k = ad.rotary(ad.transpose(k, (0, 2, 1, 3)), cos, sin)
         v = ad.transpose(v, (0, 2, 1, 3))
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         probs = ad.softmax(ad.add(scores, mask))
         ctxv = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))  # (B, S, nh, hd)
-        o = proj(ad.reshape(ctxv, (batch, seq, h)), p + "wo")
+        (o,) = proj(ad.reshape(ctxv, (batch, seq, h)), p + "wo")
         x = ad.add(x, o)
 
         m = ad.rmsnorm(x, leaves[p + "mlp_norm"])
-        gate = proj(m, p + "w_gate")
-        up = proj(m, p + "w_up")
+        gate, up = proj(m, p + "w_gate", p + "w_up")
         act = ad.mul(ad.silu(gate), up)
-        down = proj(act, p + "w_down")
+        (down,) = proj(act, p + "w_down")
         x = ad.add(x, down)
         trace.block_outputs.append(x)
 

@@ -4,10 +4,17 @@ Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
 y = x_hat_h @ w_hat_h^T. Format "none" projects neither operand and
 weight_only leaves x unprojected; an operand that is not projected passes
 through unchanged with an all-true trust mask. The transform runs along the
-shared inner axis k, so its length comes from the operands; the tape op
-`qlinear` takes x as (..., k) and keeps its leading axes. The context carries
-exactly what the backward needs: y's operands x_hat_h and w_hat_h, the two
-trust masks, and whether the layer ran the transform.
+shared inner axis k, so its length comes from the operands. The context
+carries exactly what the backward needs: y's operands x_hat_h and w_hat_h,
+the two trust masks, and whether the layer ran the transform.
+
+The tape op `qlinear(x, ws, cfg)` takes a group of weights that read one
+activation x, held as (..., k). It transforms and projects x once and hands
+that shared operand (x_hat_h, mask_x) to `forward` for each weight, so a
+group costs one x transform and projection however many weights it has, and
+still one matmul and one tape node per weight. The contexts of a group share
+the x_hat_h and mask_x arrays; nothing writes to them after the forward. The
+backward is per weight and unchanged, and the tape sums the x-gradients.
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -39,26 +46,34 @@ class QLinearContext:
     hadamard: bool
 
 
-def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig):
+def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig, *, operand=None):
     """Run the quantized layer; returns (y, context).
 
-    x is batch x k, w is n x k (row-major); y is batch x n.
+    x is batch x k, w is n x k (row-major); y is batch x n. `operand` is x's
+    (x_hat_h, mask_x) from `activation(x, cfg)`, for a caller that shares it
+    between weights; by default it is computed here.
     """
     if x.ndim != 2 or w.ndim != 2:
         raise ValueError(f"expected 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"inner dimensions disagree: {x.shape} x {w.shape}")
-    if cfg.hadamard:
-        x, w = ht(x, axis=1), ht(w, axis=1)
-    quantized = cfg.format != "none"
-    x_hat, mask_x = _operand(x, cfg, quantized and not cfg.weight_only)
-    w_hat, mask_w = _operand(w, cfg, quantized)
+    x_hat, mask_x = activation(x, cfg) if operand is None else operand
+    w_hat, mask_w = _operand(w, cfg, cfg.format != "none")
     return x_hat @ w_hat.T, QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
 
 
+def activation(x: np.ndarray, cfg: QuantConfig):
+    """x's side of the layer, (x_hat_h, mask_x): transformed and projected
+    along k as cfg says. It depends on x alone, so weights that read one x
+    can share it."""
+    return _operand(x, cfg, cfg.format != "none" and not cfg.weight_only)
+
+
 def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
-    """(grid values, trust mask) of an operand: projected along k, or `a`
-    itself with an all-true mask."""
+    """(grid values, trust mask) of an operand, transformed along k when cfg
+    says so: projected, or passed as is with an all-true mask."""
+    if cfg.hadamard:
+        a = ht(a, axis=1)
     if not projected:
         return a, np.ones(a.shape, dtype=bool)
     p = project(a, cfg, axis=1)
@@ -94,14 +109,22 @@ def ste_backward(ctx: QLinearContext, grad_y: np.ndarray):
     return _estimate(ctx, grad_y, masked=False)
 
 
-def qlinear(x: Node, w: Node, cfg: QuantConfig):
-    """Tape registration of the layer; backward follows cfg.estimator.
+def qlinear(x: Node, ws, cfg: QuantConfig):
+    """Tape registration of a group of layers that read one activation;
+    backward follows cfg.estimator.
 
-    x is (..., k) and y is (..., n). Returns (output node, context).
+    x is (..., k); each weight in `ws` is n_i x k and its output (..., n_i).
+    Returns one (output node, context) per weight, in order. x is transformed
+    and projected once for the whole group.
     """
-    y, ctx = forward(x.value.reshape((-1,) + x.shape[-1:]), w.value, cfg)
+    x2 = x.value.reshape((-1,) + x.shape[-1:])
+    operand = activation(x2, cfg)
     estimator = backward if cfg.estimator == "trust" else ste_backward
+    return [_record(x, w, *forward(x2, w.value, cfg, operand=operand), estimator)
+            for w in ws]
 
+
+def _record(x: Node, w: Node, y: np.ndarray, ctx: QLinearContext, estimator):
     def backward_fn(g):
         grad_x, grad_w = estimator(ctx, g.reshape(y.shape))
         return grad_x.reshape(x.shape), grad_w

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import tempfile
 import time
@@ -53,6 +54,15 @@ class TestConfig:
     def test_odd_head_dim_rejected(self, hidden, heads):
         with pytest.raises(ValueError, match="head dimension"):
             ModelConfig(num_blocks=1, hidden_size=hidden, num_heads=heads)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_heads", 0), ("hidden_size", 0), ("vocab_size", 0), ("max_seq_len", 0),
+        ("num_blocks", -1), ("num_blocks", 0), ("hidden_size", 8.0), ("num_heads", True),
+        ("vocab_size", "256"),
+    ])
+    def test_sizes_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive int"):
+            tiny_cfg(**{field: value})
 
     def test_param_count_formula(self):
         cfg = tiny_cfg()
@@ -400,6 +410,21 @@ class TestCheckpoint:
         np.savez(path, w=np.ones(3, dtype=np.float32))
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "dropout": 0.1},  # a key ModelConfig does not take
+        lambda d: {**d, "quant": {"bits": 4}},  # a key QuantConfig does not take
+        lambda d: [1, 2],  # JSON that is not an object
+        lambda d: {**d, "num_heads": 0},  # a size that divides by zero
+    ], ids=["model-key", "quant-key", "not-object", "zero-heads"])
+    def test_config_that_does_not_decode_rejected(self, tmp_path, edit):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))
+        text = json.dumps(edit(json.loads(model.cfg.to_json())))
+        path = tmp_path / "model.npz"
+        np.savez(path, config=np.array(text), **model.params)
+        with pytest.raises(ValueError, match="not a model checkpoint") as err:
+            load_checkpoint(path)
+        assert type(err.value) is ValueError
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = build(tiny_cfg(num_blocks=1, hidden_size=8, vocab_size=4), Rng(5))

@@ -83,3 +83,32 @@ def test_traced_fit_counts_huber_rows(spans):
     assert agg["scaling.fit"][0] == 1
     assert agg["scaling.huber"][0] > 0
     assert counts["scaling.huber.rows"] > 0
+
+
+@pytest.mark.parametrize("quant", [
+    QuantConfig(format="int4"),
+    QuantConfig(format="none", hadamard=False),
+], ids=["int4", "none"])
+def test_forward_transforms_and_projects_each_operand_once(spans, quant):
+    # q/k/v share the attention norm's operand and gate/up the MLP norm's, so
+    # a block transforms and projects 4 activations and 7 weights, not 7 + 7
+    cfg = tq_model.ModelConfig(num_blocks=1, hidden_size=16, num_heads=2, max_seq_len=8,
+                               quant=quant)
+    model = tq_model.build(cfg, Rng(0))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_unit(0)
+        tq_model.forward_loss(model, Rng(1).integers(0, 256, (2, 9)))
+        agg, counts = tracer.end_unit()
+    finally:
+        tracer.uninstall()
+    m, h, i = 2 * 8, cfg.hidden_size, cfg.mlp_intermediate
+    assert agg["qlinear.forward"][0] == 7
+    assert counts["qlinear.gemm_flop"] == 2 * m * (4 * h * h + 3 * h * i)
+    if quant.format == "none":
+        assert "hadamard.ht" not in agg and "quantizer.project" not in agg
+    else:
+        assert agg["hadamard.ht"][0] == agg["quantizer.project"][0] == 4 + 7
+        weights = 4 * h * h + 3 * h * i
+        assert counts["quantizer.project.elems"] == m * (3 * h + i) + weights

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trustquant import autodiff as ad
 from trustquant import qlinear as ql
 from trustquant.hadamard import ht
 from trustquant.quantizer import FORMATS, QuantConfig, project
@@ -232,14 +237,12 @@ class TestBackward:
 
 class TestTapeIntegration:
     def test_estimator_selection(self, operands):
-        from trustquant import autodiff as ad
-
         x, w = operands
         for estimator in ("trust", "ste"):
             cfg = QuantConfig(format="int2", hadamard=False, estimator=estimator)
             t = ad.Tape()
             nx, nw = t.leaf(x * 3), t.leaf(w * 3)
-            node, ctx = ql.qlinear(nx, nw, cfg)
+            [(node, ctx)] = ql.qlinear(nx, [nw], cfg)
             t.backward(ad.sum_all(node))
             ref = (ql.backward if estimator == "trust" else ql.ste_backward)(
                 ctx, np.ones(node.value.shape)
@@ -249,8 +252,6 @@ class TestTapeIntegration:
 
     @pytest.mark.parametrize("estimator", ["trust", "ste"])
     def test_leading_axes_match_flattened_call(self, estimator):
-        from trustquant import autodiff as ad
-
         rng = np.random.default_rng(34)
         x = rng.standard_normal((3, 5, 16)).astype(np.float32)
         w = rng.standard_normal((10, 16)).astype(np.float32)
@@ -260,7 +261,7 @@ class TestTapeIntegration:
         def run(xv, gv):
             t = ad.Tape()
             nx, nw = t.leaf(xv), t.leaf(w)
-            node, _ = ql.qlinear(nx, nw, cfg)
+            [(node, _)] = ql.qlinear(nx, [nw], cfg)
             t.backward(ad.sum_all(ad.mul(node, gv)))
             return node.value, nx.grad, nw.grad
 
@@ -270,3 +271,103 @@ class TestTapeIntegration:
         assert y3.tobytes() == y2.tobytes()
         assert gx3.tobytes() == gx2.tobytes()
         assert gw3.tobytes() == gw2.tobytes()
+
+
+def _draw_case(draw, dtype):
+    """Leading axes, inner width k (a multiple of 4, for the 2:4 format) and a
+    seeded generator; values scaled so the grids leave masked entries."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    k = 4 * draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return lead, k, lambda shape: (rng.standard_normal(shape) * 3).astype(dtype)
+
+
+@st.composite
+def group_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead, k, normal = _draw_case(draw, dtype)
+    cfg = QuantConfig(format=draw(st.sampled_from(FORMATS)), hadamard=draw(st.booleans()),
+                      weight_only=draw(st.booleans()),
+                      estimator=draw(st.sampled_from(["trust", "ste"])))
+    ns = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    x = normal(lead + (k,))
+    return cfg, x, [normal((n, k)) for n in ns], [normal(lead + (n,)) for n in ns]
+
+
+def _run_tape(cfg, x, ws, upstreams):
+    """One tape over qlinear(x, ws) with loss sum_i <y_i, upstream_i>; returns
+    the (node, context) pairs, x's gradient and the weights' gradients."""
+    t = ad.Tape()
+    nx, nws = t.leaf(x), [t.leaf(w) for w in ws]
+    outs = ql.qlinear(nx, nws, cfg)
+    terms = [ad.sum_all(ad.mul(node, u)) for (node, _), u in zip(outs, upstreams)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    t.backward(loss)
+    return outs, nx.grad, [nw.grad for nw in nws]
+
+
+def _same_bytes(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@given(group_cases())
+@settings(max_examples=60, deadline=None)
+def test_group_equals_members_run_alone(case):
+    cfg, x, ws, upstreams = case
+    outs, gx, gws = _run_tape(cfg, x, ws, upstreams)
+    alone = [_run_tape(cfg, x, [w], [u]) for w, u in zip(ws, upstreams)]
+    for i, ((node, ctx), ([(node1, ctx1)], _, [gw1])) in enumerate(zip(outs, alone)):
+        _same_bytes(node.value, node1.value, f"y{i}")
+        for f in dataclasses.fields(ctx):
+            got, want = getattr(ctx, f.name), getattr(ctx1, f.name)
+            if f.name == "hadamard":
+                assert got is want
+            else:
+                _same_bytes(got, want, f"{f.name}{i}")
+        _same_bytes(gws[i], gw1, f"grad_w{i}")
+    # the tape runs a group's nodes last to first, so x's gradient sums that way
+    want_gx = alone[-1][1]
+    for _, gx1, _ in reversed(alone[:-1]):
+        want_gx = want_gx + gx1
+    _same_bytes(gx, want_gx, "grad_x")
+
+
+@st.composite
+def backward_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    _, k, normal = _draw_case(draw, dtype)
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cfg = QuantConfig(format=draw(st.sampled_from(FORMATS)), hadamard=draw(st.booleans()))
+    return cfg, normal((m, k)), normal((n, k)), normal((m, n))
+
+
+# the oracle's float64 result against the layer's own dtype, relative to its scale
+_ORACLE_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@given(backward_cases())
+@settings(max_examples=60, deadline=None)
+def test_backward_matches_dense_masked_oracle(case):
+    cfg, x, w, g = case
+    _, ctx = ql.forward(x, w, cfg)
+    k = x.shape[1]
+    # H as a matrix, ht(v) = H @ v: the transform of the identity's rows is H^T
+    h = ht(np.eye(k), axis=1).T if cfg.hadamard else np.eye(k)
+    g64, x_hat, w_hat = (a.astype(np.float64) for a in (g, ctx.x_hat_h, ctx.w_hat_h))
+    for estimator, mask_x, mask_w in [(ql.backward, ctx.mask_x, ctx.mask_w),
+                                      (ql.ste_backward, True, True)]:
+        # rows: dL/dx_i = H^T (M_x,i * (g @ w_hat)_i), and likewise for w
+        want_x = (mask_x * (g64 @ w_hat)) @ h
+        want_w = (mask_w * (g64.T @ x_hat)) @ h
+        gx, gw = estimator(ctx, g)
+        tol = _ORACLE_TOL[x.dtype.type]
+        for got, want in ((gx, want_x), (gw, want_w)):
+            assert got.dtype == x.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * max(1.0, np.abs(want).max()))
+    # before the inverse transform the masked coordinates are exactly zero
+    gx_h, gw_h = ql.backward(dataclasses.replace(ctx, hadamard=False), g)
+    assert not gx_h[~ctx.mask_x].any() and not gw_h[~ctx.mask_w].any()
