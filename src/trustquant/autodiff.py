@@ -14,6 +14,8 @@ import weakref
 
 import numpy as np
 
+RMSNORM_EPS = 1e-6  # added to rmsnorm's mean square under the root
+
 
 class Node:
     # the tape backref is weak: a strong tape<->node cycle would keep every
@@ -196,10 +198,10 @@ def rotary(a: Node, cos: np.ndarray, sin: np.ndarray) -> Node:
     return a.tape.record(value, (a,), backward)
 
 
-def rmsnorm(a: Node, gain: Node, eps: float = 1e-6) -> Node:
+def rmsnorm(a: Node, gain: Node) -> Node:
     x = a.value
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMSNORM_EPS)
     normed = x * inv
     value = normed * gain.value
 

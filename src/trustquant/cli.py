@@ -61,9 +61,17 @@ def _quant_overrides(args, quant: QuantConfig) -> QuantConfig:
 
 
 def _load_config(path):
+    """(ModelConfig, TrainConfig) from a config file. A file they do not
+    take exits with one line that names the file and the problem."""
     with open(path) as f:
-        raw = json.load(f)
-    return ModelConfig(**raw["model"]), trainer.TrainConfig(**raw["train"])
+        try:
+            raw = json.load(f)
+            return (ModelConfig.from_json(json.dumps(raw["model"])),
+                    trainer.TrainConfig(**raw["train"]))
+        except KeyError as err:
+            sys.exit(f"trustquant: {path}: no {err} object")
+        except (TypeError, ValueError) as err:
+            sys.exit(f"trustquant: {path}: {err}")
 
 
 def _write_rows(out, header, rows):

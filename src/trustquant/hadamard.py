@@ -1,13 +1,13 @@
-"""Orthonormal Walsh-Hadamard transform along a chosen axis, in BLAS passes.
+"""Orthonormal Walsh-Hadamard transform along the last axis, in BLAS passes.
 
 The Sylvester transform scaled by m^(-1/2) per block is its own inverse. A
 power-of-two block runs as H_m = H_f1 ⊗ ... ⊗ H_fk with balanced factors of at
 most 32: one GEMM pass per factor against a cached ±1 Sylvester block, then one
 pass that restores the axis order and scales. Other lengths are block-diagonal
 in the largest power-of-two blocks (640 -> 512 + 128), still orthonormal and
-invertible. The length and its block split come from the transformed axis, so
-callers pass only the array and the axis. No randomized sign flips: the
-transform is fixed and shared by weights and activations.
+invertible. The length and its block split come from the last axis, so
+callers pass only the array. No randomized sign flips: the transform is fixed
+and shared by weights and activations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .tensor import check_axis, require_float
+from .tensor import require_axis, require_float
 
 
 @functools.cache
@@ -59,20 +59,19 @@ def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
                 src.dtype.type(1.0 / np.sqrt(m)), out=dst.reshape(lead + (m // f, f)))
 
 
-def ht(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the orthonormal Hadamard transform along `axis`."""
+def ht(x: np.ndarray) -> np.ndarray:
+    """Apply the orthonormal Hadamard transform along the last axis."""
     x = np.asarray(x)
     require_float(x, "Hadamard transform")
-    axis = check_axis(x, axis, "Hadamard transform")
-    blocks = _blocks(x.shape[axis])
+    require_axis(x, "Hadamard transform")
+    blocks = _blocks(x.shape[-1])
     out = np.empty(x.shape, dtype=x.dtype)
-    src, dst = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
     for start, b in zip(np.cumsum((0,) + blocks), blocks):
-        _transform_block(src[..., start:start + b], dst[..., start:start + b])
+        _transform_block(x[..., start:start + b], out[..., start:start + b])
     return out
 
 
-def iht(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def iht(x: np.ndarray) -> np.ndarray:
     """Inverse transform. The orthonormal Sylvester HT is an involution, so
     this equals ht; both names are part of the interface."""
-    return ht(x, axis)
+    return ht(x)

@@ -31,13 +31,15 @@ import numpy as np
 from . import autodiff as ad
 from .qlinear import qlinear
 from .quantizer import QuantConfig
-from .tensor import F32, Rng
+from .tensor import F32, Rng, require_count, require_real
 
 _CONFIG = "config"  # the checkpoint member that holds the ModelConfig JSON
+MLP_PAD = 256  # the MLP intermediate width is a multiple of this
 
 
-def pad_to_multiple(x: int, multiple: int = 256) -> int:
-    return ((x + multiple - 1) // multiple) * multiple
+def pad_to_multiple(x: int) -> int:
+    """x rounded up to a multiple of MLP_PAD."""
+    return ((x + MLP_PAD - 1) // MLP_PAD) * MLP_PAD
 
 
 @dataclass
@@ -52,9 +54,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("num_blocks", "hidden_size", "num_heads", "vocab_size", "max_seq_len"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-                raise ValueError(f"{name} must be a positive int, got {size!r}")
+            require_count(name, getattr(self, name))
+        require_real("rope_base", self.rope_base)
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden_size} not divisible by {self.num_heads} heads"
@@ -70,7 +71,7 @@ class ModelConfig:
 
     @property
     def mlp_intermediate(self) -> int:
-        """8/3 of the hidden size, padded up to a multiple of 256."""
+        """8/3 of the hidden size, padded up to a multiple of MLP_PAD."""
         return pad_to_multiple((8 * self.hidden_size + 2) // 3)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

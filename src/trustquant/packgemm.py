@@ -22,6 +22,7 @@ from .model import ModelConfig
 from .quantizer import QuantConfig, project
 
 MAX_INNER_DIM = 1 << 23
+PACK_CFG = QuantConfig(format="int4", hadamard=False)  # the grid that `pack` holds
 
 
 @dataclass
@@ -91,14 +92,10 @@ def gemm_dequant(a: PackedMatrix, b: PackedMatrix) -> np.ndarray:
     return out
 
 
-def quantize_pack(x: np.ndarray, cfg: QuantConfig | None = None) -> PackedMatrix:
-    """Project onto the INT4 grid (per-row groups) and pack the codes."""
-    cfg = cfg or QuantConfig(format="int4", hadamard=False)
-    if cfg.grid_key != 4:
-        raise ValueError("packing is defined for the 4-bit integer grid")
-    res = project(x, cfg, axis=1, with_codes=True)
-    group_size = cfg.group_size or x.shape[1]
-    return pack(res.codes, scales=res.scale, group_size=group_size)
+def quantize_pack(x: np.ndarray) -> PackedMatrix:
+    """Project onto the INT4 grid (one group per row) and pack the codes."""
+    res = project(x, PACK_CFG, with_codes=True)
+    return pack(res.codes, scales=res.scale)
 
 
 def layer_shapes(hidden: int, batch: int = 512) -> list[tuple[str, int, int, int]]:
@@ -129,7 +126,7 @@ def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:
             return float(np.median(samples)) * 1e3
 
         dense_ms = timed(lambda: x @ w.T)
-        ht_ms = timed(lambda: (ht(x, axis=1), ht(w, axis=1)))
+        ht_ms = timed(lambda: (ht(x), ht(w)))
         pa = quantize_pack(x)
         pb = quantize_pack(w)
         quant_pack_ms = timed(lambda: (quantize_pack(x), quantize_pack(w)))

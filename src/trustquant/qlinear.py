@@ -3,8 +3,9 @@
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
 y = x_hat_h @ w_hat_h^T. Format "none" projects neither operand and
 weight_only leaves x unprojected; an operand that is not projected passes
-through unchanged with an all-true trust mask. The transform runs along the
-shared inner axis k, so its length comes from the operands. The context
+through unchanged with an all-true trust mask. The transform and the
+projection run along the shared inner axis k, the last axis of both
+operands, so its length comes from the operands. The context
 carries exactly what the backward needs: y's operands x_hat_h and w_hat_h,
 the two trust masks, and whether the layer ran the transform.
 
@@ -73,10 +74,10 @@ def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
     """(grid values, trust mask) of an operand, transformed along k when cfg
     says so: projected, or passed as is with an all-true mask."""
     if cfg.hadamard:
-        a = ht(a, axis=1)
+        a = ht(a)
     if not projected:
         return a, np.ones(a.shape, dtype=bool)
-    p = project(a, cfg, axis=1)
+    p = project(a, cfg)
     return p.values, p.trust_mask
 
 
@@ -94,8 +95,8 @@ def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):
         grad_x *= ctx.mask_x
         grad_w *= ctx.mask_w
     if ctx.hadamard:
-        grad_x = iht(grad_x, axis=1)
-        grad_w = iht(grad_w, axis=1)
+        grad_x = iht(grad_x)
+        grad_w = iht(grad_w)
     return grad_x, grad_w
 
 

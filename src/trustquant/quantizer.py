@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_axis, require_float
+from .tensor import require_axis, require_count, require_float, require_real
 
 FP4_POINTS = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]) / 6.0
 FP4_GRID = np.sort(np.concatenate([-FP4_POINTS[1:], FP4_POINTS]))  # 15 points
@@ -58,11 +58,13 @@ class QuantConfig:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.group_size is not None and not (
-                isinstance(self.group_size, (int, np.integer)) and self.group_size > 0):
-            raise ValueError(f"group_size must be None or a positive int, got {self.group_size!r}")
-        if self.outer_trust_scale is not None and self.outer_trust_scale <= 0:
-            raise ValueError("outer_trust_scale must be positive")
+        if self.group_size is not None:
+            require_count("group_size", self.group_size)
+        for name in ("hadamard", "weight_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.outer_trust_scale is not None:
+            require_real("outer_trust_scale", self.outer_trust_scale)
         if self.estimator not in ("trust", "ste"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -123,8 +125,7 @@ def _round_grid(x, alpha: float, key, with_codes: bool = False):
     q += alpha
     q *= levels / (2.0 * alpha)
     q += 0.5
-    np.floor(q, out=q)
-    np.clip(q, 0, levels, out=q)
+    np.floor(q, out=q)  # in [0, levels]: the clip above bounds it
     codes = q.astype(np.int64) if with_codes else None
     q *= 2.0 * alpha / levels
     q += -alpha
@@ -151,23 +152,23 @@ def round_fp4(x: np.ndarray, alpha: float) -> np.ndarray:
     return grid[idx].astype(x.dtype, copy=False)
 
 
-def sparsify_2of4(x: np.ndarray, axis: int = -1):
-    """Keep the 2 largest-magnitude entries in each contiguous group of 4.
+def sparsify_2of4(x: np.ndarray):
+    """Keep the 2 largest-magnitude entries in each contiguous group of 4
+    along the last axis.
 
     Ties break toward the lower index. Returns (values, keep_mask).
     """
     x = np.asarray(x)
-    axis = check_axis(x, axis, "2:4 sparsification")
-    extent = x.shape[axis]
+    require_axis(x, "2:4 sparsification")
+    extent = x.shape[-1]
     if extent % 4 != 0:
         raise ValueError(f"axis extent {extent} is not divisible by 4")
-    moved = np.moveaxis(x, axis, -1)
-    grouped = moved.reshape(moved.shape[:-1] + (extent // 4, 4))
+    grouped = x.reshape(x.shape[:-1] + (extent // 4, 4))
     # stable argsort of -|x| puts larger magnitudes first, lower index on ties
     order = np.argsort(-np.abs(grouped), axis=-1, kind="stable")
     keep = np.zeros(grouped.shape, dtype=bool)
     np.put_along_axis(keep, order[..., :2], True, axis=-1)
-    keep = np.moveaxis(keep.reshape(moved.shape), -1, axis)
+    keep = keep.reshape(x.shape)
     return np.where(keep, x, np.zeros((), dtype=x.dtype)), keep
 
 
@@ -180,9 +181,9 @@ def _simpson_weights(n_points: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def gaussian_grid_mse(alpha: float, key, *, step: float = _SIMPSON_STEP) -> float:
+def gaussian_grid_mse(alpha: float, key) -> float:
     """E[(xi - Q(xi; alpha))^2] for xi ~ N(0,1), composite Simpson on [-12, 12]."""
-    n = int(round(2 * _XI_BOUND / step))
+    n = int(round(2 * _XI_BOUND / _SIMPSON_STEP))
     if n % 2:
         n += 1
     xi = np.linspace(-_XI_BOUND, _XI_BOUND, n + 1)
@@ -192,7 +193,7 @@ def gaussian_grid_mse(alpha: float, key, *, step: float = _SIMPSON_STEP) -> floa
     return float(integrand @ _simpson_weights(n + 1, 2 * _XI_BOUND / n))
 
 
-def solve_alpha_star(key, *, tol: float = _GOLDEN_TOL) -> float:
+def solve_alpha_star(key) -> float:
     """Golden-section minimization of the Gaussian projection MSE over alpha.
 
     key is an INT bit-width (1..8) or "fp4".
@@ -203,7 +204,7 @@ def solve_alpha_star(key, *, tol: float = _GOLDEN_TOL) -> float:
     d = lo + inv_phi * (hi - lo)
     fc = gaussian_grid_mse(c, key)
     fd = gaussian_grid_mse(d, key)
-    while hi - lo > tol:
+    while hi - lo > _GOLDEN_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)
@@ -229,7 +230,7 @@ class ProjectionResult:
     """Quantize-dequantize output plus the per-group scales and masks.
 
     values: same shape as the input, exactly scale x (a grid point).
-    scale: RMS * alpha* per group (shape: input with the grouped axis
+    scale: RMS * alpha* per group (shape: input with the last axis
         replaced by the group count).
     trust_mask: True where |values - input| <= trust threshold.
     sparsity_mask: keep mask for the 2:4 format, else None.
@@ -270,22 +271,9 @@ def trust_mask(x_norm: np.ndarray, x_hat_norm: np.ndarray, cfg: QuantConfig) -> 
     return np.abs(residual, out=residual) <= trust_thresholds(x_norm, cfg)
 
 
-def _group_shape(x: np.ndarray, axis: int, group_size: int):
-    extent = x.shape[axis]
-    if extent % group_size != 0:
-        raise ValueError(f"group size {group_size} does not divide extent {extent}")
-    moved = np.moveaxis(x, axis, -1)
-    return moved.reshape(moved.shape[:-1] + (extent // group_size, group_size))
-
-
-def project(
-    x: np.ndarray,
-    cfg: QuantConfig,
-    axis: int = -1,
-    *,
-    with_codes: bool = False,
-) -> ProjectionResult:
-    """RMS-normalize per group, quantize at alpha*, rescale, compute masks.
+def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> ProjectionResult:
+    """RMS-normalize per group along the last axis, quantize at alpha*,
+    rescale, compute masks.
 
     Runs in x's dtype on two buffers, x / r and the grid values rescaled in
     place. Zero-RMS groups map to all-zero output with a full-trust mask. A
@@ -294,26 +282,27 @@ def project(
     """
     x = np.asarray(x)
     require_float(x, "projection")
-    axis = check_axis(x, axis, "projection")
-    grouped = _group_shape(x, axis, cfg.group_size or x.shape[axis])
+    require_axis(x, "projection")
+    extent = x.shape[-1]
+    group_size = cfg.group_size or extent
+    if extent % group_size != 0:
+        raise ValueError(f"group size {group_size} does not divide extent {extent}")
+    grouped = x.reshape(x.shape[:-1] + (extent // group_size, group_size))
     x_norm = np.square(grouped)
     r = np.sqrt(np.mean(x_norm, axis=-1, keepdims=True))
     nonfinite = ~np.isfinite(r)  # one check per group
     alpha = 1.0 if cfg.format == "none" else alpha_star(cfg.grid_key)
-    scale = np.moveaxis(r[..., 0] * alpha, -1, axis)
-
-    def restore(arr):
-        return np.moveaxis(arr.reshape(np.moveaxis(x, axis, -1).shape), -1, axis)
+    scale = r[..., 0] * alpha
 
     if cfg.format == "none":
-        values = restore(np.where(nonfinite, np.nan, grouped)) if nonfinite.any() else x
+        values = np.where(nonfinite, np.nan, grouped).reshape(x.shape) if nonfinite.any() else x
         return ProjectionResult(values=values, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
     safe_r = np.where(nonfinite | (r == 0), 1.0, r)  # a non-finite group is NaN-filled below
     np.divide(grouped, safe_r, out=x_norm)
 
     sparsity_mask = codes = None
     if cfg.format == "int4-sparse-2of4":
-        sparse_norm, sparsity_mask = sparsify_2of4(x_norm, axis=-1)
+        sparse_norm, sparsity_mask = sparsify_2of4(x_norm)
         q = _round_grid(sparse_norm, alpha, 4)[0]
         np.copyto(q, 0.0, where=~sparsity_mask)
     else:
@@ -329,10 +318,10 @@ def project(
         np.copyto(q, np.nan, where=nonfinite)
 
     return ProjectionResult(
-        values=np.ascontiguousarray(restore(q)),
+        values=np.ascontiguousarray(q.reshape(x.shape)),
         scale=scale,
-        trust_mask=restore(mask),
-        sparsity_mask=restore(sparsity_mask) if sparsity_mask is not None else None,
-        codes=restore(codes) if codes is not None else None,
+        trust_mask=mask.reshape(x.shape),
+        sparsity_mask=sparsity_mask.reshape(x.shape) if sparsity_mask is not None else None,
+        codes=codes.reshape(x.shape) if codes is not None else None,
     )
 

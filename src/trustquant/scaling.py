@@ -31,6 +31,8 @@ import numpy as np
 
 HUBER_DELTA = 1e-3
 BASE_PRECISION = 16
+ISOMEM_RATIO_MAX = 1e6  # the largest D/N ratio isomem_threshold scans
+ISOMEM_REL_TOL = 1e-3  # its bisection stops at this relative bracket width
 
 DEFAULT_GRID = {
     "alpha": [0.0, 0.5, 1.0, 1.5, 2.0],
@@ -105,10 +107,10 @@ def predict_loss(params: ScalingLawParams, n_params: float, tokens: float, preci
     )
 
 
-def huber(residual, delta: float = HUBER_DELTA):
-    """Quadratic within |r| <= delta, linear outside."""
+def huber(residual):
+    """Quadratic within |r| <= HUBER_DELTA, linear outside."""
     r = np.abs(residual)
-    return np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))
+    return np.where(r <= HUBER_DELTA, 0.5 * r * r, HUBER_DELTA * (r - 0.5 * HUBER_DELTA))
 
 
 def efficiency(params: ScalingLawParams, precision, bits: float | None = None) -> float:
@@ -271,11 +273,10 @@ def fit_objective(params: ScalingLawParams, records: list[RunRecord]) -> float:
 
 # --- analyses -------------------------------------------------------------------
 
-def isomem_threshold(params: ScalingLawParams, model_bytes: float, precision,
-                     *, ratio_max: float = 1e6, rel_tol: float = 1e-3):
+def isomem_threshold(params: ScalingLawParams, model_bytes: float, precision):
     """Smallest compute-matched D/N ratio where the P-bit model at equal
-    memory beats the 16-bit model at equal training compute; None if the
-    curves do not cross below ratio_max.
+    memory beats the 16-bit model at equal training compute, to a relative
+    ISOMEM_REL_TOL; None if the curves do not cross below ISOMEM_RATIO_MAX.
 
     The x-axis variable is r = (D/N) * (16^2 / P^2); at a fixed r both
     models match in bytes and in N*D training compute.
@@ -293,12 +294,12 @@ def isomem_threshold(params: ScalingLawParams, model_bytes: float, precision,
             - predict_loss(params, n16, d16, BASE_PRECISION)
         )
 
-    lo, hi = 1e-6, ratio_max
+    lo, hi = 1e-6, ISOMEM_RATIO_MAX
     if gap(lo) < 0:
         return lo  # immediate crossing: threshold at the scan minimum
     if gap(hi) >= 0:
-        return None  # no threshold <= ratio_max
-    while (hi - lo) / hi > rel_tol:
+        return None  # no threshold <= ISOMEM_RATIO_MAX
+    while (hi - lo) / hi > ISOMEM_REL_TOL:
         mid = math.sqrt(lo * hi)
         if gap(mid) < 0:
             hi = mid

@@ -8,6 +8,8 @@ fixed-fan-in tree, so results are reproducible for a fixed operand order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 F32 = np.float32
@@ -19,13 +21,27 @@ def require_float(x: np.ndarray, what: str) -> None:
         raise TypeError(f"{what} needs floating-point input, got dtype {x.dtype}")
 
 
-def check_axis(x: np.ndarray, axis: int, what: str) -> int:
-    """`axis` as an index in [0, x.ndim); ValueError if it is out of range."""
+def require_count(name: str, value, low: int = 1) -> None:
+    """Raise ValueError naming `name` unless `value` is an int (not a bool)
+    of at least `low`, which is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = "positive" if low else "non-negative"
+        raise ValueError(f"{name} must be a {kind} int, got {value!r}")
+
+
+def require_real(name: str, value, *, positive: bool = True) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real number
+    (not a bool), above 0 if `positive`, else at least 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'at least 0'}, "
+                         f"got {value!r}")
+
+
+def require_axis(x: np.ndarray, what: str) -> None:
+    """Raise ValueError for a 0-d `x`, which has no last axis to act on."""
     if x.ndim == 0:
         raise ValueError(f"{what} needs at least one axis, got a 0-d array")
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"{what}: axis {axis} is out of range for a {x.ndim}-d array")
-    return axis % x.ndim
 
 
 # --- deterministic counter-based RNG ---------------------------------------

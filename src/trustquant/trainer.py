@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import mask_fraction
 from .model import Model, forward_loss, save_checkpoint
-from .tensor import Rng
+from .tensor import Rng, require_count, require_real
 
 # Table of published (size -> peak LR) anchors; between anchors the helper
 # interpolates as peak_lr ~ 1/N calibrated at the 100M row.
@@ -36,6 +36,7 @@ LR_ANCHORS = {
 ADAM_BETAS = (0.90, 0.95)
 ADAM_EPS = 1e-8
 WARMUP_FRAC = 0.10
+EVAL_BATCH = 16  # windows per forward pass in eval_loss
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,10 +55,12 @@ class TrainConfig:
     eval_interval: int = 0  # 0 disables mid-run eval rows
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be positive")
+        require_real("peak_lr", self.peak_lr, positive=False)
+        require_real("weight_decay", self.weight_decay, positive=False)
+        require_real("clip_norm", self.clip_norm)
+        require_count("total_steps", self.total_steps)
+        require_count("batch_tokens", self.batch_tokens)
+        require_count("eval_interval", self.eval_interval, low=0)
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -150,7 +153,13 @@ def ingest(path, seq_len: int) -> np.ndarray:
 
 
 class BatchStream:
-    """Cycles over windows in a seeded shuffled order, epoch by epoch."""
+    """Cycles over windows in a seeded shuffled order, epoch by epoch.
+
+    An epoch is len(windows) // batch_size batches cut from one permutation,
+    so it draws each window at most once, and exactly once when batch_size
+    divides the window count; otherwise the len(windows) % batch_size
+    windows at the permutation's end sit that epoch out.
+    """
 
     def __init__(self, windows: np.ndarray, batch_size: int, seed: int):
         if not 1 <= batch_size <= len(windows):
@@ -172,11 +181,11 @@ class BatchStream:
 
 # --- training loop --------------------------------------------------------------
 
-def eval_loss(model: Model, windows: np.ndarray, batch_size: int = 16) -> float:
+def eval_loss(model: Model, windows: np.ndarray) -> float:
     """Token-weighted mean cross-entropy over all windows."""
     total, count = 0.0, 0
-    for start in range(0, len(windows), batch_size):
-        batch = windows[start: start + batch_size]
+    for start in range(0, len(windows), EVAL_BATCH):
+        batch = windows[start: start + EVAL_BATCH]
         loss, _, _ = forward_loss(model, batch)
         tokens = batch.shape[0] * (batch.shape[1] - 1)
         total += float(loss.value) * tokens

@@ -142,7 +142,7 @@ class TestCriterion2Transforms:
                 abs(float(np.linalg.norm(y)) / float(np.linalg.norm(x)) - 1.0),
             )
         x16 = Rng(99).normal((8, 16), dtype=np.float64)
-        dense_err = float(np.abs(ht(x16, axis=1)
+        dense_err = float(np.abs(ht(x16)
                                  - x16 @ dense_sylvester(16).T).max())
         ok = worst_rt < 1e-5 and worst_norm < 1e-5 and dense_err < 1e-12
         report(
@@ -220,7 +220,7 @@ class TestCriterion4TrustMasks:
             # and the closed-form normal-tail oracle applies directly
             cfg = QuantConfig(format=f"int{b}", hadamard=False)
             x = Rng(1000 + b).normal((1, n_total), dtype=np.float64)
-            res = project(x, cfg, axis=1)
+            res = project(x, cfg)
             frac = mask_fraction(res.trust_mask)
             alpha = alpha_star(b)
             expected = 2.0 * (1.0 - phi_cdf(alpha + alpha / ((1 << b) - 1)))
@@ -234,9 +234,9 @@ class TestCriterion4TrustMasks:
         chi2 = np.sum(np.square(rng.normal((3, n_total), dtype=np.float64)), axis=0)
         t3 = (z / np.sqrt(chi2 / 3.0)).reshape(rows, cols)
         cfg8 = QuantConfig(format="int8", hadamard=False)
-        plain = mask_fraction(project(t3, cfg8, axis=1).trust_mask)
+        plain = mask_fraction(project(t3, cfg8).trust_mask)
         mixed = mask_fraction(
-            project(ht(t3, axis=1), cfg8, axis=1).trust_mask
+            project(ht(t3), cfg8).trust_mask
         )
         wall = time.time() - t0
         ok = all(gauss_ok.values()) and mixed <= 0.5 * plain and wall < 60
@@ -356,8 +356,8 @@ class TestCriterion8IntegerPipeline:
             x = rng.standard_normal((m, k))
             w = rng.standard_normal((n, k))
             cfg = QuantConfig(format="int4", hadamard=False)
-            px = project(x, cfg, axis=1, with_codes=True)
-            pw = project(w, cfg, axis=1, with_codes=True)
+            px = project(x, cfg, with_codes=True)
+            pw = project(w, cfg, with_codes=True)
             float_path = px.values @ pw.values.T
             int_path = gemm_dequant(
                 quantize_pack(x), quantize_pack(w)
@@ -385,7 +385,7 @@ class TestCriterion9SparseFormat:
         invariant_ok = True
         for _ in range(50):
             x = rng.standard_normal((8, 64))
-            res = project(x, QuantConfig(format="int4-sparse-2of4"), axis=1)
+            res = project(x, QuantConfig(format="int4-sparse-2of4"))
             nz = (res.values.reshape(8, 16, 4) != 0).sum(axis=-1)
             kept = res.sparsity_mask.reshape(8, 16, 4).sum(axis=-1)
             if not (np.all(nz == 2) and np.all(kept == 2)):

@@ -1,7 +1,10 @@
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from hypothesis import strategies as st
 
 from helpers import write_corpus
 from trustquant import scaling
-from trustquant.cli import _quant_overrides, build_parser, main
+from trustquant.cli import _load_config, _quant_overrides, build_parser, main
 from trustquant.quantizer import FORMATS, QuantConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -264,6 +269,49 @@ class TestSweepS:
         assert lines[0] == "s,final_loss"
         assert len(lines) == 3
         assert lines[1].startswith("1.0,") and lines[2].startswith("1.3,")
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("section, key", [
+        ("model", "dropout"), ("train", "lr"), ("quant", "bits"), (None, "model"),
+    ])
+    def test_bad_config_exits_with_one_line(self, section, key, tmp_path):
+        config = {"model": {"num_blocks": 1, "hidden_size": 32, "num_heads": 2, "quant": {}},
+                  "train": {"peak_lr": 2e-3, "total_steps": 2, "batch_tokens": 64}}
+        if section is None:
+            del config[key]
+        else:
+            (config["model"] if section == "quant" else config)[section][key] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode != 0
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert str(path) in proc.stderr and repr(key) in proc.stderr
+
+
+class TestReadme:
+    """README's CLI block and config example stay in step with the parser."""
+
+    @staticmethod
+    def block(heading, lang):
+        section = README.read_text().split(heading, 1)[1]
+        return re.findall(rf"```{lang}\n(.*?)```", section, re.S)[0]
+
+    def test_cli_lines_parse(self):
+        lines = [line for line in self.block("## CLI", "sh").splitlines()
+                 if line.startswith("trustquant ")]
+        assert len(lines) == 9
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command == line.split()[1]
+
+    def test_config_example_loads(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(self.block("## CLI", "json"))
+        model_cfg, train_cfg = _load_config(path)
+        assert model_cfg.quant.format == "int4" and train_cfg.total_steps == 300
 
 
 class TestDispatch:

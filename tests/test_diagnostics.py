@@ -112,7 +112,7 @@ class TestMaskStats:
     def test_gaussian_b8_matches_normal_tail(self):
         cfg = QuantConfig(format="int8", hadamard=False)
         x = Rng(66).normal((256, 1024), dtype=np.float64)
-        res = project(x, cfg, axis=1)
+        res = project(x, cfg)
         frac = mask_fraction(res.trust_mask)
         alpha = alpha_star(8)
         t = alpha / 255
@@ -141,9 +141,9 @@ class TestMaskStats:
         # HT of a Gaussian stays Gaussian: masked fractions agree within 20%
         cfg = QuantConfig(format="int8", hadamard=False)
         x = Rng(67).normal((256, 1024), dtype=np.float64)
-        plain = mask_fraction(project(x, cfg, axis=1).trust_mask)
+        plain = mask_fraction(project(x, cfg).trust_mask)
         mixed = mask_fraction(
-            project(ht(x, axis=1), cfg, axis=1).trust_mask
+            project(ht(x), cfg).trust_mask
         )
         assert mixed == pytest.approx(plain, rel=0.2)
 
@@ -151,9 +151,9 @@ class TestMaskStats:
         cfg = QuantConfig(format="int8", hadamard=False)
         rng = Rng(68)
         x = student_t3(rng, 256 * 1024).reshape(256, 1024)
-        plain = mask_fraction(project(x, cfg, axis=1).trust_mask)
+        plain = mask_fraction(project(x, cfg).trust_mask)
         mixed = mask_fraction(
-            project(ht(x, axis=1), cfg, axis=1).trust_mask
+            project(ht(x), cfg).trust_mask
         )
         assert mixed <= 0.5 * plain, (plain, mixed)
 

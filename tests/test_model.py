@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import time
@@ -63,6 +64,11 @@ class TestConfig:
     def test_sizes_must_be_positive_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a positive int"):
             tiny_cfg(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -5, math.nan, math.inf, "10000"])
+    def test_rope_base_must_be_finite_positive(self, value):
+        with pytest.raises(ValueError, match="rope_base must be finite and positive"):
+            tiny_cfg(rope_base=value)
 
     def test_param_count_formula(self):
         cfg = tiny_cfg()

@@ -60,8 +60,8 @@ class TestGemmDequant:
         x = rng.standard_normal((32, 64))
         w = rng.standard_normal((48, 64))
         cfg = QuantConfig(format="int4", hadamard=False)
-        px = project(x, cfg, axis=1, with_codes=True)
-        pw = project(w, cfg, axis=1, with_codes=True)
+        px = project(x, cfg, with_codes=True)
+        pw = project(w, cfg, with_codes=True)
         float_path = px.values @ pw.values.T
         int_path = gemm_dequant(quantize_pack(x), quantize_pack(w))
         denom = np.abs(float_path).max()
@@ -87,8 +87,8 @@ class TestGemmDequant:
         x = rng.standard_normal((8, 16))
         w = rng.standard_normal((4, 16))
         cfg = QuantConfig(format="int4", hadamard=False, group_size=4)
-        px = project(x, cfg, axis=1, with_codes=True)
-        pw = project(w, cfg, axis=1, with_codes=True)
+        px = project(x, cfg, with_codes=True)
+        pw = project(w, cfg, with_codes=True)
         float_path = px.values @ pw.values.T
         pa = pack(px.codes, scales=px.scale, group_size=4)
         pb = pack(pw.codes, scales=pw.scale, group_size=4)

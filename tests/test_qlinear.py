@@ -76,19 +76,19 @@ def frozen_forward(x, w, cfg):
     """qlinear.forward as it stood with one hand-copied block per operand:
     the oracle the one per-operand step must match bit for bit."""
     if cfg.hadamard:
-        x_h = ht(x, axis=1)
-        w_h = ht(w, axis=1)
+        x_h = ht(x)
+        w_h = ht(w)
     else:
         x_h, w_h = x, w
     if cfg.format == "none" or cfg.weight_only:
         x_hat, mask_x = x_h, np.ones(x_h.shape, dtype=bool)
     else:
-        px = project(x_h, cfg, axis=1)
+        px = project(x_h, cfg)
         x_hat, mask_x = px.values, px.trust_mask
     if cfg.format == "none":
         w_hat, mask_w = w_h, np.ones(w_h.shape, dtype=bool)
     else:
-        pw = project(w_h, cfg, axis=1)
+        pw = project(w_h, cfg)
         w_hat, mask_w = pw.values, pw.trust_mask
     return x_hat @ w_hat.T, ql.QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
 
@@ -355,7 +355,7 @@ def test_backward_matches_dense_masked_oracle(case):
     _, ctx = ql.forward(x, w, cfg)
     k = x.shape[1]
     # H as a matrix, ht(v) = H @ v: the transform of the identity's rows is H^T
-    h = ht(np.eye(k), axis=1).T if cfg.hadamard else np.eye(k)
+    h = ht(np.eye(k)).T if cfg.hadamard else np.eye(k)
     g64, x_hat, w_hat = (a.astype(np.float64) for a in (g, ctx.x_hat_h, ctx.w_hat_h))
     for estimator, mask_x, mask_w in [(ql.backward, ctx.mask_x, ctx.mask_w),
                                       (ql.ste_backward, True, True)]:

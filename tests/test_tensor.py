@@ -5,8 +5,8 @@ from trustquant.quantizer import QuantConfig, project
 from trustquant.tensor import Rng
 
 
-def rms(x, axis=-1, group_size=None):
-    return project(x, QuantConfig(format="none", group_size=group_size), axis).scale
+def rms(x, group_size=None):
+    return project(x, QuantConfig(format="none", group_size=group_size)).scale
 
 
 class TestRms:
@@ -30,15 +30,15 @@ class TestRms:
 
     def test_grouped_shape(self):
         x = np.arange(24, dtype=np.float64).reshape(2, 12)
-        out = rms(x, axis=1, group_size=4)
+        out = rms(x, group_size=4)
         assert out.shape == (2, 3)
         assert out[0, 0] == pytest.approx(np.sqrt(np.mean(np.square([0, 1, 2, 3]))))
 
     @pytest.mark.parametrize("c", [2.0, -3.5, 0.25])
     def test_absolute_homogeneity(self, c, rng_np):
         x = rng_np.standard_normal((3, 8))
-        got = rms(c * x, axis=1, group_size=4)
-        want = abs(c) * rms(x, axis=1, group_size=4)
+        got = rms(c * x, group_size=4)
+        want = abs(c) * rms(x, group_size=4)
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_bad_group_size(self):

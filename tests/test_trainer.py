@@ -36,6 +36,32 @@ def basic_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value, rule", [
+        ("peak_lr", math.nan, "finite and at least 0"),
+        ("peak_lr", -1e-3, "finite and at least 0"),
+        ("weight_decay", math.nan, "finite and at least 0"),
+        ("weight_decay", -0.1, "finite and at least 0"),
+        ("clip_norm", math.nan, "finite and positive"),
+        ("clip_norm", 0.0, "finite and positive"),
+        ("clip_norm", math.inf, "finite and positive"),
+        ("total_steps", 2.5, "a positive int"),
+        ("total_steps", 0, "a positive int"),
+        ("batch_tokens", 0, "a positive int"),
+        ("batch_tokens", -64, "a positive int"),
+        ("eval_interval", -3, "a non-negative int"),
+        ("eval_interval", 1.5, "a non-negative int"),
+    ])
+    def test_rejects_values_that_break_a_run(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"{field} must be {rule}"):
+            basic_cfg(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = basic_cfg(peak_lr=0.0, weight_decay=0.0, total_steps=1, batch_tokens=1,
+                        eval_interval=0, clip_norm=1e-12)
+        assert cfg.total_steps == 1
+
+
 class TestSchedule:
     def test_peak_at_warmup_end(self):
         cfg = basic_cfg(total_steps=100)
@@ -169,6 +195,21 @@ class TestIngest:
         b = BatchStream(windows, 4, seed=9)
         for _ in range(8):  # crosses an epoch boundary
             assert np.array_equal(a.next_batch(), b.next_batch())
+
+    @given(st.integers(1, 40), st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_each_window_at_most_once_per_epoch(self, count, data, seed, epochs):
+        batch = data.draw(st.integers(1, count))
+        stream = BatchStream(np.arange(count)[:, None], batch, seed)
+        for _ in range(epochs):
+            drawn = np.concatenate([stream.next_batch()[:, 0] for _ in range(count // batch)])
+            assert len(np.unique(drawn)) == len(drawn)
+            assert count - len(drawn) == count % batch  # these windows sit this epoch out
+
+    def test_a_window_can_sit_out_an_epoch(self):
+        stream = BatchStream(np.arange(10)[:, None], 3, seed=1)
+        drawn = np.concatenate([stream.next_batch()[:, 0] for _ in range(3)])
+        assert sorted(set(range(10)) - set(drawn.tolist())) == [5]
 
     def test_batch_tokens_below_one_window_rejected(self):
         windows = np.arange(96).reshape(3, 32)
