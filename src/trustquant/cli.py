@@ -7,14 +7,13 @@ config file. Every subcommand is deterministic given the effective seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import diagnostics, packgemm, scaling, trainer
 from .model import ModelConfig, build, load_checkpoint
@@ -37,14 +36,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_numbers(parse):
-    """An argparse type: comma-separated values, each finite and positive."""
-    def parse_list(text: str) -> list:
-        values = [parse(item) for item in text.split(",")]
-        if bad := [v for v in values if not (math.isfinite(v) and v > 0)]:
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {bad[0]}")
-        return values
-    return parse_list
+def _numbers(parse, *, many: bool = False, zero: bool = False):
+    """An argparse type: one value (comma-separated values if `many`), each
+    finite and positive, or at least 0 if `zero`."""
+    def number(text: str):
+        values = [parse(item) for item in (text.split(",") if many else [text])]
+        if bad := [v for v in values if not (math.isfinite(v) and (v > 0 or zero and v == 0))]:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'at least 0' if zero else 'positive'}, got {bad[0]}")
+        return values if many else values[0]
+    return number
 
 
 def _quant_overrides(args, quant: QuantConfig) -> QuantConfig:
@@ -74,18 +75,31 @@ def _load_config(path):
             sys.exit(f"trustquant: {path}: {err}")
 
 
-def _write_rows(out, header, rows):
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _read(load, path):
+    """load(path); a ValueError from `load` exits with one line naming the file."""
+    try:
+        return load(path)
+    except ValueError as err:
+        sys.exit(f"trustquant: {path}: {err}")
+
+
+def _cell(value, spec: str) -> str:
+    """A table cell: empty for None, else `value` formatted by `spec`."""
+    return "" if value is None else format(value, spec)
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write one table as CSV (excel dialect, CRLF line ends) to `path`, or
+    to stdout without one. Every table the CLI emits goes through here."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        csv.writer(out).writerows([header, *rows])
 
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
     model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
-    seed = _effective_seed(args, train_cfg.seed)
-    train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    model = build(model_cfg, Rng(seed))
+    train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
+    model = build(model_cfg, Rng(train_cfg.seed))
     records = trainer.train(model, train_cfg, args.out)
     print(f"trained {train_cfg.total_steps} steps; final loss {records[-1]['loss']:.4f}; "
           f"artifacts in {args.out}")
@@ -93,7 +107,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _read(load_checkpoint, args.checkpoint)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
     loss = trainer.eval_loss(model, windows)
     print(f"loss {loss:.6f}")
@@ -102,7 +116,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_align(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _read(load_checkpoint, args.checkpoint)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
     seed = _effective_seed(args)
     stream = trainer.BatchStream(windows, args.batch_size, seed)
@@ -110,7 +124,8 @@ def cmd_align(args) -> int:
     records = diagnostics.alignment_sweep(model, batches)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "alignment.csv")
-    diagnostics.write_alignment_csv(path, records)
+    _write_rows(path, ["block", "tag", "xi", "sample"],
+                [(r.block, r.tag, _cell(r.xi, ".6f"), r.sample) for r in records])
     for tag in diagnostics.ESTIMATOR_TAGS:
         med, iqr = diagnostics.summarize([r.xi for r in records if r.tag == tag])
         print(f"{tag}: median {med:.4f} iqr {iqr:.4f}" if med is not None else f"{tag}: undefined")
@@ -119,55 +134,46 @@ def cmd_align(args) -> int:
 
 
 def cmd_mask_stats(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _read(load_checkpoint, args.checkpoint)
     seed = _effective_seed(args)
     train_cfg = trainer.TrainConfig(peak_lr=args.lr, total_steps=args.steps,
                                     batch_tokens=args.batch_tokens, seed=seed)
     windows = trainer.ingest(args.data, model.cfg.max_seq_len)
 
-    stats: list[diagnostics.MaskStats] = []
-    previous: dict[str, np.ndarray] = {}
+    rows, previous = [], {}
     for step, _, _, _, trace in trainer.steps(model, train_cfg, windows):
         if step % args.interval == 0:
             for name, ctx in trace.layer_contexts.items():
-                persistence = (
-                    diagnostics.mask_persistence(previous[name], ctx.mask_w)
-                    if name in previous else None
-                )
-                stats.append(diagnostics.MaskStats(
-                    step=step, layer=name,
-                    masked_fraction=diagnostics.mask_fraction(ctx.mask_w),
-                    persistence=persistence,
-                ))
+                persistence = (diagnostics.mask_persistence(previous[name], ctx.mask_w)
+                               if name in previous else None)
+                rows.append((step, name, _cell(diagnostics.mask_fraction(ctx.mask_w), ".6f"),
+                             _cell(persistence, ".6f")))
                 previous[name] = ctx.mask_w
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "masks.csv")
-    diagnostics.write_masks_csv(path, stats)
+    _write_rows(path, ["step", "layer", "masked_fraction", "persistence"], rows)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_alpha_table(args) -> int:
-    _write_rows(sys.stdout, ["grid", "alpha_star", "mse"], [
-        (key, f"{alpha_star(key):.6f}", f"{gaussian_grid_mse(alpha_star(key), key):.8e}")
-        for key in [*INT_FORMATS.values(), "fp4"]
-    ])
+    _write_rows(None, ["grid", "alpha_star", "mse"], [
+        (key, _cell(alpha_star(key), ".6f"), _cell(gaussian_grid_mse(alpha_star(key), key), ".8e"))
+        for key in [*INT_FORMATS.values(), "fp4"]])
     return 0
 
 
 def cmd_fit_scaling(args) -> int:
-    records = scaling.read_records_csv(args.records)
+    records = _read(scaling.read_records_csv, args.records)
     params = scaling.fit(records)
     os.makedirs(args.out, exist_ok=True)
     params_path = os.path.join(args.out, "scaling_params.json")
     with open(params_path, "w") as f:
         f.write(params.to_json())
     eff_path = os.path.join(args.out, "efficiency.csv")
-    with open(eff_path, "w", newline="") as f:
-        _write_rows(f, ["precision", "eff", "eff_per_bit"], [
-            (p, f"{params.eff[p]:.6f}", f"{scaling.efficiency(params, p):.6f}")
-            for p in sorted(k for k in params.eff if isinstance(k, int))
-        ])
+    _write_rows(eff_path, ["precision", "eff", "eff_per_bit"], [
+        (p, _cell(params.eff[p], ".6f"), _cell(scaling.efficiency(params, p), ".6f"))
+        for p in sorted(k for k in params.eff if isinstance(k, int))])
     print(f"wrote {params_path} and {eff_path}")
     return 0
 
@@ -177,43 +183,36 @@ def cmd_plan_runs(args) -> int:
                   if args.precisions else (scaling.BASE_PRECISION,))
     rows = scaling.plan_runs(args.sizes, ratios=args.ratios, precisions=precisions,
                              lr_fn=trainer.peak_lr_for)
-    _write_rows(sys.stdout, ["n_params", "precision", "ratio", "tokens", "peak_lr"], [
-        (r["n_params"], r["precision"], r["ratio"], r["tokens"], f"{r['peak_lr']:.6g}")
-        for r in rows
-    ])
+    _write_rows(None, ["n_params", "precision", "ratio", "tokens", "peak_lr"], [
+        (r["n_params"], r["precision"], r["ratio"], r["tokens"], _cell(r["peak_lr"], ".6g"))
+        for r in rows])
     return 0
 
 
 def cmd_bench(args) -> int:
     shapes = packgemm.layer_shapes(args.hidden, batch=args.batch)
     rows = packgemm.bench(shapes, reps=args.reps, seed=_effective_seed(args))
+    header = ["shape", "dense_ms", "quant_pack_ms", "ht_ms", "int_gemm_ms", "speedup"]
+    _write_rows(args.out, header, [
+        (r["shape"], *(_cell(r[column], ".4f") for column in header[1:])) for r in rows])
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            packgemm.write_bench_csv(f, rows)
         print(f"wrote {args.out}")
-    else:
-        packgemm.write_bench_csv(sys.stdout, rows)
     return 0
 
 
 def cmd_sweep_s(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
-    seed = _effective_seed(args, train_cfg.seed)
-    grid = [float(s) for s in args.s_grid.split(",")]
-    os.makedirs(args.out, exist_ok=True)
+    train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     results = []
-    for s in grid:
+    for s in args.s_grid:  # train makes args.out along with each run directory
         quant = dataclasses.replace(model_cfg.quant, outer_trust_scale=s)
-        cfg = dataclasses.replace(model_cfg, quant=quant)
-        model = build(cfg, Rng(seed))
-        run_dir = os.path.join(args.out, f"s_{s:g}")
-        records = trainer.train(model, dataclasses.replace(train_cfg, seed=seed), run_dir)
+        model = build(dataclasses.replace(model_cfg, quant=quant), Rng(train_cfg.seed))
+        records = trainer.train(model, train_cfg, os.path.join(args.out, f"s_{s:g}"))
         tail = [r["loss"] for r in records[-20:]]
         results.append((s, sum(tail) / len(tail)))
         print(f"s={s:g}: final loss {results[-1][1]:.4f}")
     path = os.path.join(args.out, "sweep_s.csv")
-    with open(path, "w", newline="") as f:
-        _write_rows(f, ["s", "final_loss"], [(s, f"{l:.6f}") for s, l in results])
+    _write_rows(path, ["s", "final_loss"], [(s, _cell(l, ".6f")) for s, l in results])
     print(f"wrote {path}")
     return 0
 
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--no-hadamard", action="store_true")
         p.add_argument("--weight-only", action="store_true")
-        p.add_argument("--trust-scale", type=float, default=None)
+        p.add_argument("--trust-scale", type=_numbers(float), default=None)
 
     p = sub.add_parser("train", help="train a model from a config JSON")
     p.add_argument("--config", required=True)
@@ -259,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--interval", type=_positive_int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-tokens", type=int, default=1024)
+    p.add_argument("--lr", type=_numbers(float, zero=True), default=1e-3)
+    p.add_argument("--batch-tokens", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_mask_stats)
 
@@ -273,15 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fit_scaling)
 
     p = sub.add_parser("plan-runs", help="emit the N x P x (D/N) run matrix")
-    p.add_argument("--sizes", required=True, type=_positive_numbers(float),
+    p.add_argument("--sizes", required=True, type=_numbers(float, many=True),
                    help="comma-separated parameter counts")
-    p.add_argument("--ratios", default="25,50,100", type=_positive_numbers(int))
+    p.add_argument("--ratios", default="25,50,100", type=_numbers(int, many=True))
     p.add_argument("--precisions", default=None)
     p.set_defaults(fn=cmd_plan_runs)
 
     p = sub.add_parser("bench", help="dense vs quantize/pack/int-GEMM timings")
-    p.add_argument("--hidden", type=int, default=2048)
-    p.add_argument("--batch", type=int, default=512)
+    p.add_argument("--hidden", type=_positive_int, default=2048)
+    p.add_argument("--batch", type=_positive_int, default=512)
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -290,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-s", help="train across an outer-trust-scale grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--s-grid", default="1.0,1.1,1.2,1.3,1.4,1.5")
+    p.add_argument("--s-grid", default="1.0,1.1,1.2,1.3,1.4,1.5",
+                   type=_numbers(float, many=True))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_sweep_s)
 

@@ -5,7 +5,7 @@ quantization, once with activation quantization disabled (weights stay
 quantized), and reports the cosine similarity of the activation gradients
 captured after each transformer block (block boundary = residual-stream
 output). Undefined values (zero-norm gradients, empty mask denominators)
-are reported explicitly as None, never silently dropped.
+are None, never silently dropped; the CLI's tables show them as empty cells.
 
 Estimator tags: "quest" (trust masks + Hadamard), "quest-no-ht" (trust
 masks, no Hadamard), "ste" (straight-through, no Hadamard).
@@ -13,7 +13,6 @@ masks, no Hadamard), "ste" (straight-through, no Hadamard).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -31,14 +30,6 @@ class AlignmentRecord:
     tag: str
     xi: float | None
     sample: int
-
-
-@dataclass
-class MaskStats:
-    step: int
-    layer: str
-    masked_fraction: float
-    persistence: float | None
 
 
 def estimator_config(base: QuantConfig, tag: str) -> QuantConfig:
@@ -114,25 +105,6 @@ def mask_persistence(mask_t1: np.ndarray, mask_t2: np.ndarray) -> float | None:
     if masked_t1 == 0:
         return None
     return float((m1 & m2).sum() / masked_t1)
-
-
-def write_alignment_csv(path, records: list[AlignmentRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["block", "tag", "xi", "sample"])
-        for r in records:
-            writer.writerow([r.block, r.tag, "" if r.xi is None else f"{r.xi:.6f}", r.sample])
-
-
-def write_masks_csv(path, stats: list[MaskStats]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "layer", "masked_fraction", "persistence"])
-        for s in stats:
-            writer.writerow([
-                s.step, s.layer, f"{s.masked_fraction:.6f}",
-                "" if s.persistence is None else f"{s.persistence:.6f}",
-            ])
 
 
 def summarize(values):

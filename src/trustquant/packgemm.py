@@ -11,7 +11,6 @@ low nibble first.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -140,15 +139,3 @@ def bench(shapes, reps: int = 3, seed: int = 0) -> list[dict]:
             "speedup": dense_ms / int_gemm_ms if int_gemm_ms > 0 else float("inf"),
         })
     return rows
-
-
-def write_bench_csv(out, rows: list[dict]) -> None:
-    """Write the bench rows as CSV to the open text stream `out`."""
-    writer = csv.DictWriter(
-        out, fieldnames=["shape", "dense_ms", "quant_pack_ms", "ht_ms",
-                         "int_gemm_ms", "speedup"]
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: f"{v:.4f}" if isinstance(v, float) else v
-                         for k, v in row.items()})

@@ -116,10 +116,10 @@ def _round_grid(x, alpha: float, key, with_codes: bool = False):
         return round_fp4(x, alpha), None
     if not 1 <= key <= 8:
         raise ValueError(f"bit-width must be in [1, 8], got {key}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     x = np.asarray(x)
     require_float(x, "uniform quantization")
+    if not 0 < 2.0 * float(alpha) <= float(np.finfo(x.dtype).max):  # the grid spans 2*alpha
+        raise ValueError(f"alpha must be positive with 2*alpha finite in {x.dtype}, got {alpha}")
     levels = (1 << key) - 1
     q = np.asarray(np.clip(x, -alpha, alpha))  # a 0-d x clips to a numpy scalar
     q += alpha

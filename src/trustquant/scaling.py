@@ -330,21 +330,20 @@ def plan_runs(sizes, ratios=(25, 50, 100), precisions=(BASE_PRECISION,),
 # --- record io -------------------------------------------------------------------
 
 def read_records_csv(path) -> list[RunRecord]:
+    """Run records from a CSV with the columns n_params, tokens, precision and
+    loss; a field that is absent or not a number raises ValueError naming the
+    file, the line and the column."""
     records = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            records.append(RunRecord(
-                n_params=float(row["n_params"]),
-                tokens=float(row["tokens"]),
-                precision=_parse_tag(row["precision"]),
-                loss=float(row["loss"]),
-            ))
+        for row in (reader := csv.DictReader(f)):
+            fields = {}
+            for column in ("n_params", "tokens", "precision", "loss"):
+                try:
+                    if not (text := row.get(column)):
+                        raise ValueError("no value")
+                    fields[column] = _parse_tag(text) if column == "precision" else float(text)
+                except ValueError as err:
+                    raise ValueError(f"{path}, line {reader.line_num}, column {column!r}: "
+                                     f"{err}") from None
+            records.append(RunRecord(**fields))
     return records
-
-
-def write_records_csv(path, records: list[RunRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n_params", "tokens", "precision", "loss"])
-        for r in records:
-            writer.writerow([r.n_params, r.tokens, r.precision, r.loss])

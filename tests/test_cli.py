@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import write_corpus
 from trustquant import scaling
-from trustquant.cli import _load_config, _quant_overrides, build_parser, main
+from trustquant.cli import _cell, _load_config, _quant_overrides, _write_rows, build_parser, main
 from trustquant.quantizer import FORMATS, QuantConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,6 +47,35 @@ def workspace(tmp_path_factory):
     cfg_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
     return root, cfg_path, corpus
+
+
+class TestWriteRows:
+    """The one table writer: the cells cmd_align and cmd_mask_stats build."""
+
+    def test_alignment_rows(self, tmp_path):
+        path = tmp_path / "alignment.csv"
+        _write_rows(path, ["block", "tag", "xi", "sample"],
+                    [(0, "quest", _cell(0.9876543, ".6f"), 0), (1, "ste", _cell(None, ".6f"), 0)])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "block,tag,xi,sample"
+        assert lines[1] == "0,quest,0.987654,0"
+        assert lines[2] == "1,ste,,0"
+
+    def test_mask_rows(self, tmp_path):
+        path = tmp_path / "masks.csv"
+        _write_rows(path, ["step", "layer", "masked_fraction", "persistence"],
+                    [(0, "block0.wq", _cell(0.125, ".6f"), _cell(None, ".6f")),
+                     (500, "block0.wq", _cell(0.1, ".6f"), _cell(0.75, ".6f"))])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,layer,masked_fraction,persistence"
+        assert lines[1] == "0,block0.wq,0.125000,"
+        assert lines[2] == "500,block0.wq,0.100000,0.750000"
+
+    def test_crlf_to_file_and_stdout(self, tmp_path, capsys):
+        _write_rows(tmp_path / "t.csv", ["a", "b"], [(1, "x,y")])
+        _write_rows(None, ["a", "b"], [(1, "x,y")])
+        assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n'
+        assert capsys.readouterr().out == 'a,b\r\n1,"x,y"\r\n'
 
 
 class TestAlphaTable:
@@ -91,7 +121,10 @@ class TestFitScaling:
         records = [scaling.RunRecord(n, r * n, p, scaling.predict_loss(true, n, r * n, p)
                                      * math.exp(0.01 * rng.standard_normal()))
                    for n in (30e6, 100e6, 300e6) for p in (4, 16) for r in (25, 100)]
-        scaling.write_records_csv(tmp_path / "runs.csv", records)
+        with open(tmp_path / "runs.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["n_params", "tokens", "precision", "loss"])
+            writer.writerows([r.n_params, r.tokens, r.precision, r.loss] for r in records)
         out = tmp_path / "fit"
         assert main(["fit-scaling", "--records", str(tmp_path / "runs.csv"), "--out", str(out)]) == 0
         assert "scaling_params.json" in capsys.readouterr().out
@@ -207,6 +240,8 @@ class TestDiagnosticsCommands:
         lines = (tmp_path / "alignment.csv").read_text().splitlines()
         assert lines[0] == "block,tag,xi,sample"
         assert len(lines) == 1 + 2 * 3 * 1  # batches x tags x blocks
+        for line in lines[1:]:
+            assert re.fullmatch(r"0,(quest|quest-no-ht|ste),(-?\d\.\d{6})?,[01]", line), line
 
     def test_mask_stats_csv(self, workspace, tmp_path):
         root, _, corpus = workspace
@@ -217,19 +252,72 @@ class TestDiagnosticsCommands:
         lines = (tmp_path / "masks.csv").read_text().splitlines()
         assert lines[0] == "step,layer,masked_fraction,persistence"
         assert len(lines) == 1 + 2 * 7  # 2 samples x 7 layers (1 block)
+        for line in lines[1:]:  # persistence: empty at the first sample or when none masked
+            step, layer, fraction, persistence = line.split(",")
+            assert step in ("0", "3") and layer.startswith("block0.w")
+            assert re.fullmatch(r"[01]\.\d{6}", fraction)
+            assert re.fullmatch(r"([01]\.\d{6})?" if step == "3" else "", persistence)
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("mask-stats", "--steps", "0", "must be at least 1"),
+        ("mask-stats", "--interval", "0", "must be at least 1"),
+        ("bench", "--reps", "0", "must be at least 1"),
+        ("align", "--batches", "0", "must be at least 1"),
+        ("align", "--batch-size", "0", "must be at least 1"),
+        ("mask-stats", "--batch-tokens", "0", "must be at least 1"),
+        ("mask-stats", "--lr", "nan", "must be finite and at least 0"),
+        ("mask-stats", "--lr", "-1e-3", "must be finite and at least 0"),
+        ("train", "--trust-scale", "-1", "must be finite and positive"),
+        ("sweep-s", "--s-grid", "1.0,nan", "must be finite and positive"),
+        ("bench", "--hidden", "0", "must be at least 1"),
+        ("bench", "--batch", "0", "must be at least 1"),
+    ], ids=["--steps", "--interval", "bench--reps", "align--batches", "align--batch-size",
+            "--batch-tokens", "--lr-nan", "--lr-negative", "train--trust-scale",
+            "sweep-s--s-grid", "bench--hidden", "bench--batch"])
+    def test_mask_stats_rejects_counts_below_one(self, command, flag, value, message, tmp_path):
+        paths = {
+            "bench": [],
+            "train": ["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)],
+            "sweep-s": ["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)],
+        }.get(command, ["--checkpoint", str(tmp_path / "missing.ckpt"),
+                        "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path)])
+        proc = run_cli([command, *paths, f"{flag}={value}"])
+        assert proc.returncode == 2
+        assert f"argument {flag}" in proc.stderr and message in proc.stderr
+
+    def test_mask_stats_takes_zero_lr(self, workspace, tmp_path):
+        root, _, corpus = workspace
+        assert main(["mask-stats", "--checkpoint", str(root / "run" / "model.ckpt"),
+                     "--data", str(corpus), "--out", str(tmp_path), "--steps", "1",
+                     "--interval", "1", "--batch-tokens", "128", "--lr", "0"]) == 0
 
 
-    @pytest.mark.parametrize("command,flag", [
-        ("mask-stats", "--steps"), ("mask-stats", "--interval"), ("bench", "--reps"),
-        ("align", "--batches"), ("align", "--batch-size"),
-    ], ids=["--steps", "--interval", "bench--reps", "align--batches", "align--batch-size"])
-    def test_mask_stats_rejects_counts_below_one(self, command, flag, tmp_path):
-        paths = [] if command == "bench" else [
-            "--checkpoint", str(tmp_path / "missing.ckpt"),
-            "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path)]
-        proc = run_cli([command, *paths, flag, "0"])
-        assert proc.returncode != 0
-        assert flag in proc.stderr and "must be at least 1" in proc.stderr
+class TestBadInputFile:
+    """A file that does not parse ends its command with one line naming it."""
+
+    @pytest.mark.parametrize("command", ["eval", "align", "mask-stats"])
+    def test_truncated_checkpoint(self, command, workspace, tmp_path):
+        root, _, corpus = workspace
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((root / "run" / "model.ckpt").read_bytes()[:4096])
+        out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
+        proc = run_cli([command, "--checkpoint", str(ckpt), "--data", str(corpus), *out])
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith(f"trustquant: {ckpt}: not a model checkpoint")
+
+    @pytest.mark.parametrize("text, where", [
+        ("n_params,tokens,loss\n3e7,3e9,3.21\n", "line 2, column 'precision'"),
+        ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,5e9,16,low\n",
+         "line 3, column 'loss'"),
+    ], ids=["missing-column", "not-a-number"])
+    def test_bad_records_csv(self, text, where, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(text)
+        proc = run_cli(["fit-scaling", "--records", str(path), "--out", str(tmp_path / "fit")])
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith(f"trustquant: {path}: {path}, {where}: ")
 
 
 class TestBench:
@@ -239,6 +327,9 @@ class TestBench:
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "shape,dense_ms,quant_pack_ms,ht_ms,int_gemm_ms,speedup"
         assert len(lines) == 8  # 7 layers
+        assert lines[1].startswith("wq:16x128x128,")
+        for line in lines[1:]:
+            assert all(re.fullmatch(r"\d+\.\d{4}|inf", cell) for cell in line.split(",")[1:])
 
     def test_csv_to_stdout_without_out(self, capsys):
         assert main(["bench", "--hidden", "128", "--batch", "16", "--reps", "2"]) == 0

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from trustquant.diagnostics import (
-    AlignmentRecord,
-    MaskStats,
     alignment_sweep,
     cosine,
     estimator_config,
@@ -13,8 +11,6 @@ from trustquant.diagnostics import (
     mask_fraction,
     mask_persistence,
     summarize,
-    write_alignment_csv,
-    write_masks_csv,
 )
 from trustquant.hadamard import ht
 from trustquant.model import ModelConfig, build
@@ -159,26 +155,6 @@ class TestMaskStats:
 
 
 class TestEmitters:
-    def test_alignment_csv(self, tmp_path):
-        records = [AlignmentRecord(0, "quest", 0.9876543, 0),
-                   AlignmentRecord(1, "ste", None, 0)]
-        path = tmp_path / "alignment.csv"
-        write_alignment_csv(path, records)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "block,tag,xi,sample"
-        assert lines[1] == "0,quest,0.987654,0"
-        assert lines[2] == "1,ste,,0"
-
-    def test_masks_csv(self, tmp_path):
-        stats = [MaskStats(0, "block0.wq", 0.125, None),
-                 MaskStats(500, "block0.wq", 0.1, 0.75)]
-        path = tmp_path / "masks.csv"
-        write_masks_csv(path, stats)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,layer,masked_fraction,persistence"
-        assert lines[1] == "0,block0.wq,0.125000,"
-        assert lines[2] == "500,block0.wq,0.100000,0.750000"
-
     def test_summarize_skips_undefined(self):
         med, iqr = summarize([0.5, None, 1.0, 0.0])
         assert med == 0.5 and iqr == 0.5

@@ -106,6 +106,20 @@ class TestQuantizeUniform:
         with pytest.raises(ValueError):
             quantize_uniform(np.ones(3), 1.0, 0)
 
+    @pytest.mark.parametrize("dtype, alpha", [
+        (np.float32, 3e38), (np.float32, 1.8e38), (np.float64, 1e308),
+        (np.float32, math.inf), (np.float64, math.nan), (np.float64, 0.0), (np.float64, -1.0),
+    ])
+    def test_alpha_with_overflowing_span_rejected(self, dtype, alpha):
+        # a span 2*alpha of inf once made every code -2^63
+        with pytest.raises(ValueError, match="alpha must be positive with 2\\*alpha finite"):
+            quantize_uniform_codes(np.array([3e38, 1.5e38], dtype=dtype), alpha, 4)
+
+    def test_largest_alpha_keeps_codes_in_range(self):
+        alpha = float(np.finfo(np.float32).max) / 2
+        values, codes = quantize_uniform_codes(np.float32([3e38, 1.5e38, -3e38]), alpha, 4)
+        assert codes.tolist() == [15, 14, 0] and np.isfinite(values).all()
+
     def test_codes_consistent(self):
         x = np.linspace(-2, 2, 101)
         values, codes = quantize_uniform_codes(x, 1.5, 3)

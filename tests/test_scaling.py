@@ -1,3 +1,4 @@
+import csv
 import math
 from itertools import product
 
@@ -20,7 +21,6 @@ from trustquant.scaling import (
     plan_runs,
     predict_loss,
     read_records_csv,
-    write_records_csv,
 )
 from trustquant.tensor import Rng
 
@@ -504,9 +504,26 @@ class TestRecordIO:
     def test_csv_round_trip(self, tmp_path):
         records = [RunRecord(3e7, 3e9, 4, 3.21), RunRecord(5e7, 5e9, 16, 2.95)]
         path = tmp_path / "runs.csv"
-        write_records_csv(path, records)
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["n_params", "tokens", "precision", "loss"])
+            writer.writerows([r.n_params, r.tokens, r.precision, r.loss] for r in records)
         back = read_records_csv(path)
         assert back == records
+
+    @pytest.mark.parametrize("text, where", [
+        ("n_params,tokens,loss\n3e7,3e9,3.21\n", "line 2, column 'precision': no value"),
+        ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,5e9,16,\n",
+         "line 3, column 'loss': no value"),
+        ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,lots,16,2.95\n",
+         "line 3, column 'tokens': could not convert"),
+    ], ids=["missing-column", "empty-field", "not-a-number"])
+    def test_bad_field_names_file_line_and_column(self, text, where, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_records_csv(path)
+        assert str(err.value).startswith(f"{path}, {where}")
 
     def test_invalid_record(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,13 @@ PYTHONDONTWRITEBYTECODE=1 and QUEST_SEED unset:
   --seed 4` on the int4 checkpoint;
 - align/alignment.csv: `align --batches 3 --batch-size 2 --seed 3` on the int4
   checkpoint;
-- alpha_table.csv: the stdout of `alpha-table`.
+- alpha_table.csv: the stdout of `alpha-table`;
+- plan_runs.csv: the stdout of `plan-runs --sizes 30e6,50e6 --precisions 1,2,3,4,16`;
+- fit-scaling/: `fit-scaling` on records.csv, 36 run records that this tool
+  writes with the `csv` module from a known scaling law (N in 30e6, 100e6,
+  300e6 and 1e9; P in 4, 8 and 16; D/N in 25, 50 and 100) times a fixed
+  wobble of at most 1%;
+- sweep-s/: `sweep-s --s-grid 1.0,1.3 --seed 7` on the int4 config.
 
 Every command runs inside OUT_DIR on relative paths, so the outputs of two
 checkouts are comparable with `diff -r OUT_A OUT_B`.
@@ -25,10 +31,13 @@ checkouts are comparable with `diff -r OUT_A OUT_B`.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 FORMATS = ("int4", "none", "fp4", "int1", "int4-sparse-2of4")
 
@@ -40,6 +49,18 @@ def config(fmt: str) -> dict:
         "train": {"peak_lr": 2e-3, "total_steps": 25, "batch_tokens": 512,
                   "data_path": "corpus.txt", "seed": 13, "eval_interval": 0},
     }
+
+
+def write_records(path: str) -> None:
+    """Run records of L = A/(N*eff(P))^alpha + B/D^beta + E, each times
+    exp(0.01 * sin(i)) for its index i."""
+    eff = {4: 0.7, 8: 0.9, 16: 1.0}
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["n_params", "tokens", "precision", "loss"])
+        for i, (n, p, ratio) in enumerate(product((30e6, 100e6, 300e6, 1e9), eff, (25, 50, 100))):
+            loss = 406.4 / (n * eff[p]) ** 0.34 + 410.7 / (ratio * n) ** 0.28 + 1.69
+            writer.writerow([n, ratio * n, p, loss * math.exp(0.01 * math.sin(i))])
 
 
 def main(argv=None) -> int:
@@ -72,6 +93,12 @@ def main(argv=None) -> int:
         "--batches", "3", "--batch-size", "2", "--seed", "3")
     with open(os.path.join(out, "alpha_table.csv"), "w") as f:
         cli("alpha-table", stdout=f)
+    with open(os.path.join(out, "plan_runs.csv"), "w") as f:
+        cli("plan-runs", "--sizes", "30e6,50e6", "--precisions", "1,2,3,4,16", stdout=f)
+    write_records(os.path.join(out, "records.csv"))
+    cli("fit-scaling", "--records", "records.csv", "--out", "fit-scaling")
+    cli("sweep-s", "--config", "config-int4.json", "--out", "sweep-s",
+        "--s-grid", "1.0,1.3", "--seed", "7")
     return 0
 
 
