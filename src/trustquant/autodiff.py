@@ -6,6 +6,16 @@ parent gradients from the upstream gradient. `Tape.record` is the public
 extension point used both by the built-in primitives below and by the
 quantized-linear op, whose backward is a gradient estimator rather than the
 true derivative.
+
+Two ops fuse what would otherwise be a chain of primitives into one node
+with a hand-written backward: `causal_attention` (head split, rotary on q
+and k, q k^T, scale, causal mask, softmax, p v, head merge) and `swiglu`
+(silu(gate) * up). They run their elementwise steps in place on buffers
+they own and keep the chain's arithmetic order, so their values and
+gradients equal the chain's bit for bit. The primitives they replace
+(`softmax`, `rotary`, `silu`, `mul`, `reshape`, `transpose`) stay: the
+tests use them as the fused ops' oracle, and the benchmark's tracer wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import weakref
 import numpy as np
 
 RMSNORM_EPS = 1e-6  # added to rmsnorm's mean square under the root
+MASKED = -1e9  # causal_attention adds this to the scores of future positions
 
 
 class Node:
@@ -201,18 +212,143 @@ def rotary(a: Node, cos: np.ndarray, sin: np.ndarray) -> Node:
 def rmsnorm(a: Node, gain: Node) -> Node:
     x = a.value
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMSNORM_EPS)
-    normed = x * inv
-    value = normed * gain.value
+    value = np.square(x)
+    inv = 1.0 / np.sqrt(np.mean(value, axis=-1, keepdims=True) + RMSNORM_EPS)
+    np.multiply(x, inv, out=value)  # x normalized, then scaled by the gain
+    value *= gain.value
 
     def backward(g):
-        gg = g * gain.value
-        dot = (gg * x).sum(axis=-1, keepdims=True)
-        dx = inv * gg - (inv ** 3) * x * (dot / n)
-        dgain = (g * normed).reshape(-1, n).sum(axis=0).astype(gain.value.dtype)
+        # dx = inv * (g * gain) - (inv ** 3) * x * (dot / n), in that order, in two buffers
+        dx = g * gain.value
+        t = dx * x
+        dot = t.sum(axis=-1, keepdims=True)
+        np.multiply(inv ** 3, x, out=t)
+        t *= dot / n
+        np.multiply(inv, dx, out=dx)
+        dx -= t
+        t = np.multiply(x, inv, out=t)  # x normalized, recomputed
+        t *= g
+        dgain = t.reshape(-1, n).sum(axis=0).astype(gain.value.dtype)
         return dx, dgain
 
     return a.tape.record(value, (a, gain), backward)
+
+
+def causal_mask(seq_len: int) -> np.ndarray:
+    """(1, 1, S, S) additive mask: MASKED above the diagonal, 0 elsewhere."""
+    return np.triu(np.full((seq_len, seq_len), MASKED, dtype=np.float32), k=1)[None, None]
+
+
+def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray,
+                     scale) -> Node:
+    """Causal multi-head self-attention as one node.
+
+    q, k and v are (B, S, h) projections; cos and sin are the (S, d/2)
+    rotary tables of the head dimension d, so there are h / d heads. Returns
+    the heads' merged context, (B, S, h). The value and each gradient equal
+    those of the primitive chain bit for bit: split the heads, `rotary` on
+    q and k, q k^T, `mul` by scale, `add` causal_mask, `softmax`, p v, merge
+    the heads. The score steps run one batch row at a time, on (heads, S, S)
+    blocks that stay in cache; the backward keeps the rotated q and k and
+    the probabilities.
+    """
+    for node in (k, v):
+        if node.shape != q.shape:
+            raise ValueError(f"attention shape mismatch {q.shape} vs {node.shape}")
+    batch, seq, h = q.shape
+    half = cos.shape[-1]
+    d = 2 * half
+    if cos.shape != (seq, half) or sin.shape != cos.shape or h % d:
+        raise ValueError(f"rotary tables {cos.shape} do not fit a (B, S, h) = {q.shape} input")
+    heads = h // d
+    dtype = np.result_type(q.value, cos)
+    mask = causal_mask(seq)[0]
+    tmp = np.empty((heads, seq, half), dtype)  # one rotary product at a time
+
+    def split(x):  # (B, S, h) -> (B, heads, S, d) view
+        return np.ascontiguousarray(x).reshape(batch, seq, heads, d).transpose(0, 2, 1, 3)
+
+    def merged():  # an empty (B, S, h) array and its (B, heads, S, d) view
+        out = np.empty(q.shape, dtype)
+        return out, split(out)
+
+    def rotate(x, out):  # rotary's forward on one batch row
+        (x1, x2), (o1, o2) = _halves(x, half), _halves(out, half)
+        np.multiply(x1, cos, out=o1)
+        o1 -= np.multiply(x2, sin, out=tmp)
+        np.multiply(x1, sin, out=o2)
+        o2 += np.multiply(x2, cos, out=tmp)
+
+    def unrotate(g, out):  # rotary's backward on one batch row
+        (g1, g2), (o1, o2) = _halves(g, half), _halves(out, half)
+        np.multiply(g1, cos, out=o1)
+        o1 += np.multiply(g2, sin, out=tmp)
+        np.multiply(g2, cos, out=o2)
+        o2 -= np.multiply(g1, sin, out=tmp)
+
+    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    qr, kr = np.empty(qh.shape, dtype), np.empty(kh.shape, dtype)
+    p = np.empty((batch, heads, seq, seq), dtype)  # scores, then the probabilities in place
+    value, out = merged()
+    for b in range(batch):
+        rotate(qh[b], qr[b])
+        rotate(kh[b], kr[b])
+        pb = np.matmul(qr[b], np.swapaxes(kr[b], -1, -2), out=p[b])
+        pb *= scale
+        pb += mask
+        pb -= pb.max(axis=-1, keepdims=True)
+        np.exp(pb, out=pb)
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, vh[b], out=out[b])
+
+    def backward(g):
+        gh = split(g)
+        (dq, dqh), (dk, dkh), (dv, dvh) = merged(), merged(), merged()
+        ds, t = np.empty((2, heads, seq, seq), dtype)
+        for b in range(batch):
+            pb = p[b]
+            np.matmul(gh[b], np.swapaxes(vh[b], -1, -2), out=ds)
+            np.matmul(np.swapaxes(pb, -1, -2), gh[b], out=dvh[b])
+            ds -= np.multiply(ds, pb, out=t).sum(axis=-1, keepdims=True)
+            ds *= pb
+            ds *= scale
+            unrotate(ds @ kr[b], dqh[b])
+            unrotate((np.swapaxes(qr[b], -1, -2) @ ds).transpose(0, 2, 1), dkh[b])
+        return dq, dk, dv
+
+    return q.tape.record(value, (q, k, v), backward)
+
+
+def _halves(x, half):
+    return x[..., :half], x[..., half:]
+
+
+def swiglu(gate: Node, up: Node) -> Node:
+    """silu(gate) * up as one node, equal bit for bit in value and gradients
+    to `mul(silu(gate), up)`. The backward keeps the sigmoid of gate."""
+    if gate.shape != up.shape:
+        raise ValueError(f"swiglu shape mismatch {gate.shape} vs {up.shape}")
+    x, u = gate.value, up.value
+    s = np.negative(x)
+    with np.errstate(over="ignore"):  # exp overflow saturates sigmoid to 0
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    value = x * s
+    value *= u
+
+    def backward(g):
+        dgate = g * u
+        dgate *= s
+        dup = x * s
+        dup *= g
+        t = np.subtract(1.0, s, out=s)  # s is spent from here: t = 1 + x * (1 - s)
+        t *= x
+        t += 1.0
+        dgate *= t
+        return dgate, dup
+
+    return gate.tape.record(value, (gate, up), backward)
 
 
 def cross_entropy_with_logits(logits: Node, targets: np.ndarray) -> Node:
@@ -222,16 +358,18 @@ def cross_entropy_with_logits(logits: Node, targets: np.ndarray) -> Node:
     if targets.min() < 0 or targets.max() >= x.shape[1]:
         raise ValueError(f"target id out of range [0, {x.shape[1]})")
     n = x.shape[0]
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
+    rows = np.arange(n)
+    e = x - x.max(axis=-1, keepdims=True)  # shifted, then exponentiated in place
+    picked = e[rows, targets]
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
-    log_probs = (x - m) - np.log(z)
-    value = np.asarray(-log_probs[np.arange(n), targets].mean(), dtype=x.dtype)
+    value = np.asarray(-(picked - np.log(z[:, 0])).mean(), dtype=x.dtype)
 
     def backward(g):
-        p = e / z
-        p[np.arange(n), targets] -= 1.0
-        return (((float(g) / n) * p).reshape(logits.shape),)
+        p = np.divide(e, z, out=e)  # e is spent from here
+        p[rows, targets] -= 1.0
+        p *= float(g) / n
+        return (p.reshape(logits.shape),)
 
     return logits.tape.record(value, (logits,), backward)
 

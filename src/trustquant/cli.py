@@ -75,10 +75,20 @@ def _load_config(path):
             sys.exit(f"trustquant: {path}: {err}")
 
 
-def _read(load, path):
-    """load(path); a ValueError from `load` exits with one line naming the file."""
+def _even_int(text: str) -> int:
+    value = _positive_int(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return value
+
+
+def _read(load, path, *args):
+    """load(path, *args); an OSError or ValueError from `load` exits with one
+    line naming the file."""
     try:
-        return load(path)
+        return load(path, *args)
+    except OSError as err:
+        sys.exit(f"trustquant: {path}: {err.strerror or err}")
     except ValueError as err:
         sys.exit(f"trustquant: {path}: {err}")
 
@@ -108,7 +118,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
-    windows = trainer.ingest(args.data, model.cfg.max_seq_len)
+    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
     loss = trainer.eval_loss(model, windows)
     print(f"loss {loss:.6f}")
     print(f"ppl {math.exp(loss):.6f}")
@@ -117,7 +127,7 @@ def cmd_eval(args) -> int:
 
 def cmd_align(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
-    windows = trainer.ingest(args.data, model.cfg.max_seq_len)
+    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
     seed = _effective_seed(args)
     stream = trainer.BatchStream(windows, args.batch_size, seed)
     batches = [stream.next_batch() for _ in range(args.batches)]
@@ -138,7 +148,7 @@ def cmd_mask_stats(args) -> int:
     seed = _effective_seed(args)
     train_cfg = trainer.TrainConfig(peak_lr=args.lr, total_steps=args.steps,
                                     batch_tokens=args.batch_tokens, seed=seed)
-    windows = trainer.ingest(args.data, model.cfg.max_seq_len)
+    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
 
     rows, previous = [], {}
     for step, _, _, _, trace in trainer.steps(model, train_cfg, windows):
@@ -279,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_plan_runs)
 
     p = sub.add_parser("bench", help="dense vs quantize/pack/int-GEMM timings")
-    p.add_argument("--hidden", type=_positive_int, default=2048)
+    p.add_argument("--hidden", type=_even_int, default=2048,
+                   help="model width; even, as the shapes are one full-width head's")
     p.add_argument("--batch", type=_positive_int, default=512)
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--out", default=None)

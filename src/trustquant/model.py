@@ -7,6 +7,10 @@ activation form one `qlinear` group, (wq, wk, wv) on the attention norm and
 (w_gate, w_up) on the MLP norm, so that activation is transformed and
 projected once; wo and w_down are groups of one. Each weight keeps its own
 tape node and backward.
+Between the projections each block records two fused tape ops:
+`ad.causal_attention` takes the (B, S, h) q, k and v outputs and returns
+the merged (B, S, h) context, with the head split, rotary, scaled causal
+softmax and head merge inside one node; `ad.swiglu` takes gate and up.
 The MLP intermediate width is 8/3 of the hidden size padded up to a multiple
 of 256. Byte-level vocabulary (256) by default.
 
@@ -145,11 +149,6 @@ def build(cfg: ModelConfig, rng: Rng) -> Model:
     return Model(cfg, params)
 
 
-def _causal_mask(seq_len: int, dtype=F32) -> np.ndarray:
-    mask = np.triu(np.full((seq_len, seq_len), -1e9, dtype=dtype), k=1)
-    return mask[None, None, :, :]
-
-
 def forward_logits(model: Model, tokens: np.ndarray):
     """Build the forward graph; returns (logits node, tape, trace).
 
@@ -163,13 +162,11 @@ def forward_logits(model: Model, tokens: np.ndarray):
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
-    h, nh, hd = cfg.hidden_size, cfg.num_heads, cfg.head_dim
     tape = ad.Tape()
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
     trace = ForwardTrace(param_leaves=leaves)
     cos, sin = rope_tables(cfg, seq)
-    mask = _causal_mask(seq)
-    scale = F32(1.0 / np.sqrt(hd))
+    scale = F32(1.0 / np.sqrt(cfg.head_dim))
 
     def proj(x, *names):
         """One output node per named weight; the weights share x's operand."""
@@ -181,28 +178,18 @@ def forward_logits(model: Model, tokens: np.ndarray):
     x = ad.embedding_gather(leaves["embedding"], tokens)  # (B, S, h)
     for b in range(cfg.num_blocks):
         p = f"block{b}."
-        a = ad.rmsnorm(x, leaves[p + "attn_norm"])
-        q, k, v = (ad.reshape(node, (batch, seq, nh, hd))
-                   for node in proj(a, p + "wq", p + "wk", p + "wv"))
-        q = ad.rotary(ad.transpose(q, (0, 2, 1, 3)), cos, sin)  # (B, nh, S, hd)
-        k = ad.rotary(ad.transpose(k, (0, 2, 1, 3)), cos, sin)
-        v = ad.transpose(v, (0, 2, 1, 3))
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
-        probs = ad.softmax(ad.add(scores, mask))
-        ctxv = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))  # (B, S, nh, hd)
-        (o,) = proj(ad.reshape(ctxv, (batch, seq, h)), p + "wo")
+        q, k, v = proj(ad.rmsnorm(x, leaves[p + "attn_norm"]), p + "wq", p + "wk", p + "wv")
+        (o,) = proj(ad.causal_attention(q, k, v, cos, sin, scale), p + "wo")
         x = ad.add(x, o)
 
-        m = ad.rmsnorm(x, leaves[p + "mlp_norm"])
-        gate, up = proj(m, p + "w_gate", p + "w_up")
-        act = ad.mul(ad.silu(gate), up)
-        (down,) = proj(act, p + "w_down")
+        gate, up = proj(ad.rmsnorm(x, leaves[p + "mlp_norm"]), p + "w_gate", p + "w_up")
+        (down,) = proj(ad.swiglu(gate, up), p + "w_down")
         x = ad.add(x, down)
         trace.block_outputs.append(x)
 
     final = ad.rmsnorm(x, leaves["final_norm"])
     logits = ad.matmul(
-        ad.reshape(final, (batch * seq, h)), ad.transpose(leaves["head"], (1, 0))
+        ad.reshape(final, (batch * seq, cfg.hidden_size)), ad.transpose(leaves["head"], (1, 0))
     )
     return ad.reshape(logits, (batch, seq, cfg.vocab_size)), tape, trace
 

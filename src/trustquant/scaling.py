@@ -331,8 +331,9 @@ def plan_runs(sizes, ratios=(25, 50, 100), precisions=(BASE_PRECISION,),
 
 def read_records_csv(path) -> list[RunRecord]:
     """Run records from a CSV with the columns n_params, tokens, precision and
-    loss; a field that is absent or not a number raises ValueError naming the
-    file, the line and the column."""
+    loss; a field that is absent, not a number, or (but for precision) not
+    finite and positive raises ValueError naming the file, the line and the
+    column."""
     records = []
     with open(path, newline="") as f:
         for row in (reader := csv.DictReader(f)):
@@ -341,7 +342,12 @@ def read_records_csv(path) -> list[RunRecord]:
                 try:
                     if not (text := row.get(column)):
                         raise ValueError("no value")
-                    fields[column] = _parse_tag(text) if column == "precision" else float(text)
+                    if column == "precision":
+                        fields[column] = _parse_tag(text)
+                    elif not (math.isfinite(value := float(text)) and value > 0):
+                        raise ValueError(f"{text!r} is not finite and positive")
+                    else:
+                        fields[column] = value
                 except ValueError as err:
                     raise ValueError(f"{path}, line {reader.line_num}, column {column!r}: "
                                      f"{err}") from None

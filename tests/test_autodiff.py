@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustquant import autodiff as ad
 
@@ -290,3 +292,156 @@ class TestPrimitiveGradients:
         for (i, j), tok in np.ndenumerate(ids):
             want[tok] += probe[i, j]
         assert np.allclose(n.grad, want)
+
+
+def probed_backward(t, out, probe):
+    """Backward through `out` with upstream gradient `probe`."""
+    t.backward(t.record(np.zeros((), out.value.dtype), (out,), lambda g: (probe,)))
+
+
+def attention_chain(q, k, v, cos, sin, scale):
+    """The primitive chain that `causal_attention` fuses."""
+    batch, seq, h = q.shape
+    d = 2 * cos.shape[-1]
+    q, k, v = (ad.transpose(ad.reshape(n, (batch, seq, h // d, d)), (0, 2, 1, 3))
+               for n in (q, k, v))
+    q, k = ad.rotary(q, cos, sin), ad.rotary(k, cos, sin)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    probs = ad.softmax(ad.add(scores, ad.causal_mask(seq)))
+    return ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (batch, seq, h))
+
+
+def swiglu_chain(gate, up):
+    return ad.mul(ad.silu(gate), up)
+
+
+def attention_inputs(rng, batch, seq, heads, half, dtype):
+    h = 2 * half * heads
+    q, k, v = (rng.standard_normal((batch, seq, h)).astype(dtype) for _ in range(3))
+    angles = rng.uniform(0, 2 * np.pi, (seq, half))
+    return [q, k, v], np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+
+
+class TestFusedOps:
+    def test_causal_attention_finite_difference(self):
+        rng = np.random.default_rng(27)
+        arrays, cos, sin = attention_inputs(rng, 2, 4, 2, 2, np.float64)
+        probe = rng.standard_normal(arrays[0].shape)
+
+        def run(xs):
+            t = ad.Tape()
+            out = ad.causal_attention(*(t.leaf(x) for x in xs), cos, sin, 0.7)
+            return float((out.value * probe).sum())
+
+        t = ad.Tape()
+        leaves = [t.leaf(x.copy()) for x in arrays]
+        probed_backward(t, ad.causal_attention(*leaves, cos, sin, 0.7), probe)
+        fd = finite_difference(run, [x.copy() for x in arrays])
+        for node, g in zip(leaves, fd):
+            assert rel_err(node.grad, g) < 1e-4
+
+    def test_swiglu_finite_difference(self):
+        rng = np.random.default_rng(28)
+        arrays = [rng.standard_normal((3, 5)) * 3, rng.standard_normal((3, 5))]
+        probe = rng.standard_normal((3, 5))
+
+        def run(xs):
+            t = ad.Tape()
+            return float((ad.swiglu(t.leaf(xs[0]), t.leaf(xs[1])).value * probe).sum())
+
+        t = ad.Tape()
+        leaves = [t.leaf(x.copy()) for x in arrays]
+        probed_backward(t, ad.swiglu(*leaves), probe)
+        fd = finite_difference(run, [x.copy() for x in arrays])
+        for node, g in zip(leaves, fd):
+            assert rel_err(node.grad, g) < 1e-4
+
+    @pytest.mark.parametrize("op, args", [
+        ("causal_attention", lambda t: (t.leaf(np.ones((1, 2, 4))), t.leaf(np.ones((1, 3, 4))),
+                                        t.leaf(np.ones((1, 2, 4))), np.ones((2, 1)),
+                                        np.ones((2, 1)), 1.0)),
+        ("causal_attention", lambda t: (*(t.leaf(np.ones((1, 2, 6))) for _ in range(3)),
+                                        np.ones((2, 2)), np.ones((2, 2)), 1.0)),
+        ("swiglu", lambda t: (t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))),
+    ], ids=["qkv-shapes", "tables-vs-width", "swiglu-shapes"])
+    def test_shape_mismatch_rejected(self, op, args):
+        with pytest.raises(ValueError):
+            getattr(ad, op)(*args(ad.Tape()))
+
+    @given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fused_ops_equal_their_chains_bytewise(self, batch, seq, heads, half, dtype, seed):
+        rng = np.random.default_rng(seed)
+        arrays, cos, sin = attention_inputs(rng, batch, seq, heads, half, dtype)
+        scale = dtype(1.0 / np.sqrt(2 * half))
+        probe = rng.standard_normal(arrays[0].shape).astype(dtype)
+        cases = [(ad.causal_attention, lambda *n: attention_chain(*n, cos, sin, scale),
+                  arrays, (cos, sin, scale)),
+                 (ad.swiglu, swiglu_chain, arrays[:2], ())]
+        for fused, chain, xs, extra in cases:
+            results = []
+            for build in (lambda *n: fused(*n, *extra), chain):
+                t = ad.Tape()
+                leaves = [t.leaf(x.copy()) for x in xs]
+                out = build(*leaves)
+                value = out.value.copy()
+                probed_backward(t, out, probe)
+                results.append([value, *(leaf.grad for leaf in leaves)])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), fused.__name__
+
+
+def frozen_rmsnorm_backward(x, gain, g):
+    """rmsnorm's backward as it was before it reused its buffers."""
+    n = x.shape[-1]
+    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + ad.RMSNORM_EPS)
+    normed = x * inv
+    gg = g * gain
+    dot = (gg * x).sum(axis=-1, keepdims=True)
+    dx = inv * gg - (inv ** 3) * x * (dot / n)
+    dgain = (g * normed).reshape(-1, n).sum(axis=0).astype(gain.dtype)
+    return dx, dgain
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (5, 6), (2, 3, 16)])
+def test_rmsnorm_backward_equals_frozen_copy_bytewise(dtype, shape):
+    rng = np.random.default_rng(30)
+    x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    gain = rng.standard_normal(shape[-1]).astype(dtype)
+    t = ad.Tape()
+    nx, ng = t.leaf(x.copy()), t.leaf(gain.copy())
+    probed_backward(t, ad.rmsnorm(nx, ng), g)
+    dx, dgain = frozen_rmsnorm_backward(x, gain, g)
+    assert nx.grad.dtype == dx.dtype and nx.grad.tobytes() == dx.tobytes()
+    assert ng.grad.dtype == dgain.dtype and ng.grad.tobytes() == dgain.tobytes()
+
+
+def frozen_cross_entropy(x, targets):
+    """cross_entropy_with_logits' value and gradient as they were before it
+    reused its buffers."""
+    n = x.shape[0]
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=-1, keepdims=True)
+    log_probs = (x - m) - np.log(z)
+    value = np.asarray(-log_probs[np.arange(n), targets].mean(), dtype=x.dtype)
+    p = e / z
+    p[np.arange(n), targets] -= 1.0
+    return value, (1.0 / n) * p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_equals_frozen_copy_bytewise(dtype):
+    rng = np.random.default_rng(31)
+    x = (rng.standard_normal((37, 11)) * 4).astype(dtype)
+    targets = rng.integers(0, 11, 37)
+    t = ad.Tape()
+    n = t.leaf(x.copy())
+    loss = ad.cross_entropy_with_logits(n, targets)
+    t.backward(loss)
+    value, grad = frozen_cross_entropy(x, targets)
+    assert loss.value.dtype == value.dtype and loss.value.tobytes() == value.tobytes()
+    assert n.grad.dtype == grad.dtype and n.grad.tobytes() == grad.tobytes()

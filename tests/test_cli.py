@@ -306,11 +306,33 @@ class TestBadInputFile:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.startswith(f"trustquant: {ckpt}: not a model checkpoint")
 
+    @pytest.mark.parametrize("command", ["eval", "align", "mask-stats"])
+    @pytest.mark.parametrize("missing, problem", [
+        ("checkpoint", "No such file or directory"),
+        ("data", "No such file or directory"),
+        ("short-data", "corpus shorter than one 32-token window"),
+    ])
+    def test_missing_or_short_input(self, command, missing, problem, workspace, tmp_path):
+        root, _, corpus = workspace
+        paths = {"checkpoint": root / "run" / "model.ckpt", "data": corpus}
+        if missing == "short-data":
+            bad = paths["data"] = tmp_path / "short.txt"
+            bad.write_bytes(corpus.read_bytes()[:31])
+        else:
+            bad = paths[missing] = tmp_path / "absent"
+        out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
+        proc = run_cli([command, "--checkpoint", str(paths["checkpoint"]),
+                        "--data", str(paths["data"]), *out])
+        assert proc.returncode == 1
+        assert proc.stderr == f"trustquant: {bad}: {problem}\n"
+
     @pytest.mark.parametrize("text, where", [
         ("n_params,tokens,loss\n3e7,3e9,3.21\n", "line 2, column 'precision'"),
         ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,5e9,16,low\n",
          "line 3, column 'loss'"),
-    ], ids=["missing-column", "not-a-number"])
+        ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,5e9,16,nan\n",
+         "line 3, column 'loss'"),
+    ], ids=["missing-column", "not-a-number", "not-finite"])
     def test_bad_records_csv(self, text, where, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text(text)
@@ -330,6 +352,12 @@ class TestBench:
         assert lines[1].startswith("wq:16x128x128,")
         for line in lines[1:]:
             assert all(re.fullmatch(r"\d+\.\d{4}|inf", cell) for cell in line.split(",")[1:])
+
+    def test_odd_hidden_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--hidden", "65"])
+        assert exc.value.code == 2
+        assert "argument --hidden: must be even, got 65" in capsys.readouterr().err
 
     def test_csv_to_stdout_without_out(self, capsys):
         assert main(["bench", "--hidden", "128", "--batch", "16", "--reps", "2"]) == 0

@@ -192,6 +192,14 @@ class TestForward:
         for ctx in trace.layer_contexts.values():
             assert 0.0 <= mask_fraction(ctx.mask_w) <= 1.0
 
+    def test_two_block_tape_node_count(self):
+        # 21 parameter leaves and the embedding gather; per block two rmsnorms,
+        # seven projections, attention, swiglu and two residual adds; then the
+        # final rmsnorm, the head's reshape, transpose, matmul and reshape, and the loss
+        model = build(tiny_cfg(quant=QuantConfig(format="int4")), Rng(20))
+        _, tape, _ = forward_loss(model, Rng(21).integers(0, 256, (2, 17)))
+        assert len(tape.nodes) == 54
+
 
 class TestGradients:
     def test_full_precision_model_finite_difference(self):

@@ -517,7 +517,11 @@ class TestRecordIO:
          "line 3, column 'loss': no value"),
         ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,lots,16,2.95\n",
          "line 3, column 'tokens': could not convert"),
-    ], ids=["missing-column", "empty-field", "not-a-number"])
+        ("n_params,tokens,precision,loss\n3e7,3e9,4,3.21\n5e7,5e9,16,nan\n",
+         "line 3, column 'loss': 'nan' is not finite and positive"),
+        ("n_params,tokens,precision,loss\n-3e7,3e9,4,3.21\n",
+         "line 2, column 'n_params': '-3e7' is not finite and positive"),
+    ], ids=["missing-column", "empty-field", "not-a-number", "non-finite", "negative"])
     def test_bad_field_names_file_line_and_column(self, text, where, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text(text)
