@@ -12,10 +12,13 @@ with a hand-written backward: `causal_attention` (head split, rotary on q
 and k, q k^T, scale, causal mask, softmax, p v, head merge) and `swiglu`
 (silu(gate) * up). They run their elementwise steps in place on buffers
 they own and keep the chain's arithmetic order, so their values and
-gradients equal the chain's bit for bit. The primitives they replace
-(`softmax`, `rotary`, `silu`, `mul`, `reshape`, `transpose`) stay: the
-tests use them as the fused ops' oracle, and the benchmark's tracer wraps
-them by name.
+gradients equal the chain's bit for bit. `causal_attention` rotates q and k
+once per (B, S, h) tensor, as x * cos_w + swap(x) * sin_w with full-width
+(S, h) tables built from the (S, d/2) cos and sin; its backward keeps the
+rotated q and k and un-rotates the gathered q and k gradients once, in
+place. The primitives they replace (`softmax`, `rotary`, `silu`, `mul`,
+`reshape`, `transpose`) stay: the tests use them as the fused ops' oracle,
+and the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -187,8 +190,12 @@ def embedding_gather(table: Node, ids: np.ndarray) -> Node:
     ids = np.asarray(ids)
 
     def backward(g):
+        # one flat index per element, rows in id order: numpy's fast 1-D
+        # ufunc.at path, adding in the same order as a row-wise scatter
         out = np.zeros_like(table.value)
-        np.add.at(out, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+        width = out.shape[-1]
+        flat = (ids.astype(np.intp).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        np.add.at(out.reshape(-1), flat, g.reshape(-1))
         return (out,)
 
     return table.tape.record(table.value[ids], (table,), backward)
@@ -248,9 +255,11 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
     the heads' merged context, (B, S, h). The value and each gradient equal
     those of the primitive chain bit for bit: split the heads, `rotary` on
     q and k, q k^T, `mul` by scale, `add` causal_mask, `softmax`, p v, merge
-    the heads. The score steps run one batch row at a time, on (heads, S, S)
-    blocks that stay in cache; the backward keeps the rotated q and k and
-    the probabilities.
+    the heads. Rotary runs once per (B, S, h) tensor, on (S, h) tables built
+    from cos and sin (see `_rotate`). The score steps run one batch row
+    at a time, on (heads, S, S) blocks that stay in cache. The backward keeps
+    the rotated q and k and the probabilities; it gathers the rotated-space
+    gradients of q and k for every row, then un-rotates each once, in place.
     """
     for node in (k, v):
         if node.shape != q.shape:
@@ -263,7 +272,6 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
     heads = h // d
     dtype = np.result_type(q.value, cos)
     mask = causal_mask(seq)[0]
-    tmp = np.empty((heads, seq, half), dtype)  # one rotary product at a time
 
     def split(x):  # (B, S, h) -> (B, heads, S, d) view
         return np.ascontiguousarray(x).reshape(batch, seq, heads, d).transpose(0, 2, 1, 3)
@@ -272,27 +280,20 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
         out = np.empty(q.shape, dtype)
         return out, split(out)
 
-    def rotate(x, out):  # rotary's forward on one batch row
-        (x1, x2), (o1, o2) = _halves(x, half), _halves(out, half)
-        np.multiply(x1, cos, out=o1)
-        o1 -= np.multiply(x2, sin, out=tmp)
-        np.multiply(x1, sin, out=o2)
-        o2 += np.multiply(x2, cos, out=tmp)
-
-    def unrotate(g, out):  # rotary's backward on one batch row
-        (g1, g2), (o1, o2) = _halves(g, half), _halves(out, half)
-        np.multiply(g1, cos, out=o1)
-        o1 += np.multiply(g2, sin, out=tmp)
-        np.multiply(g2, cos, out=o2)
-        o2 -= np.multiply(g1, sin, out=tmp)
-
-    qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    qr, kr = np.empty(qh.shape, dtype), np.empty(kh.shape, dtype)
     p = np.empty((batch, heads, seq, seq), dtype)  # scores, then the probabilities in place
+
+    # `_rotate`'s scratch is p's memory while p holds no probabilities (before the
+    # score loop, and after the backward's), where it is large enough (seq >= d),
+    # so the rotations add no buffer to the step's peak
+    def scratch():
+        return p.reshape(-1)[:q.value.size].reshape(q.shape) if seq >= d else np.empty(q.shape, dtype)
+
+    (q_rot, qr), (k_rot, kr) = merged(), merged()  # rotated q and k, and their head views
+    _rotate(q.value, q_rot, cos, sin, scratch())
+    _rotate(k.value, k_rot, cos, sin, scratch())
+    vh = split(v.value)
     value, out = merged()
     for b in range(batch):
-        rotate(qh[b], qr[b])
-        rotate(kh[b], kr[b])
         pb = np.matmul(qr[b], np.swapaxes(kr[b], -1, -2), out=p[b])
         pb *= scale
         pb += mask
@@ -312,15 +313,35 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
             ds -= np.multiply(ds, pb, out=t).sum(axis=-1, keepdims=True)
             ds *= pb
             ds *= scale
-            unrotate(ds @ kr[b], dqh[b])
-            unrotate((np.swapaxes(qr[b], -1, -2) @ ds).transpose(0, 2, 1), dkh[b])
+            dqh[b] = ds @ kr[b]
+            dkh[b] = (np.swapaxes(qr[b], -1, -2) @ ds).transpose(0, 2, 1)
+        _rotate(dq, dq, cos, sin, scratch(), inverse=True)  # p is spent from here
+        _rotate(dk, dk, cos, sin, scratch(), inverse=True)
         return dq, dk, dv
 
     return q.tape.record(value, (q, k, v), backward)
 
 
-def _halves(x, half):
-    return x[..., :half], x[..., half:]
+def _rotate(x, out, cos, sin, swapped, inverse=False):
+    """`rotary` on (B, S, h) arrays whose heads are d = 2 * cos.shape[-1]
+    wide, or its backward if `inverse`; out may be x, and `swapped` is
+    scratch of out's shape and dtype.
+
+    out = x * cos_w + swap(x) * sin_w, where swap exchanges the two halves
+    of each head and the (S, h) tables hold [cos, cos] and [-sin, sin] per
+    head ([sin, -sin] for the inverse). That equals `rotary` bit for bit:
+    a - b == a + (-b), x * (-s) == -(x * s), and addition commutes.
+    """
+    half = cos.shape[-1]
+    heads = x.shape[-1] // (2 * half)
+    cos_w = np.tile(cos, (1, 2 * heads))
+    sin_w = np.tile(np.concatenate([sin, -sin] if inverse else [-sin, sin], axis=1), (1, heads))
+    lead = x.shape[:-1]
+    np.copyto(swapped.reshape(*lead, heads, 2, half),
+              x.reshape(*lead, heads, 2, half)[..., ::-1, :])
+    np.multiply(x, cos_w, out=out)
+    swapped *= sin_w
+    out += swapped
 
 
 def swiglu(gate: Node, up: Node) -> Node:

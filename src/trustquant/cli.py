@@ -83,12 +83,10 @@ def _even_int(text: str) -> int:
 
 
 def _read(load, path, *args):
-    """load(path, *args); an OSError or ValueError from `load` exits with one
-    line naming the file."""
+    """load(path, *args); a ValueError from `load` exits with one line naming
+    the file (`main` does the same for an OSError)."""
     try:
         return load(path, *args)
-    except OSError as err:
-        sys.exit(f"trustquant: {path}: {err.strerror or err}")
     except ValueError as err:
         sys.exit(f"trustquant: {path}: {err}")
 
@@ -107,6 +105,7 @@ def _write_rows(path, header, rows) -> None:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
+    _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)  # before the run starts
     model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     model = build(model_cfg, Rng(train_cfg.seed))
@@ -128,6 +127,9 @@ def cmd_eval(args) -> int:
 def cmd_align(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
     windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
+    if args.batch_size > len(windows):
+        sys.exit(f"trustquant: {args.data}: --batch-size {args.batch_size} is more than "
+                 f"its {len(windows)} windows")
     seed = _effective_seed(args)
     stream = trainer.BatchStream(windows, args.batch_size, seed)
     batches = [stream.next_batch() for _ in range(args.batches)]
@@ -149,6 +151,9 @@ def cmd_mask_stats(args) -> int:
     train_cfg = trainer.TrainConfig(peak_lr=args.lr, total_steps=args.steps,
                                     batch_tokens=args.batch_tokens, seed=seed)
     windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
+    if not 1 <= args.batch_tokens // model.cfg.max_seq_len <= len(windows):
+        sys.exit(f"trustquant: {args.data}: --batch-tokens {args.batch_tokens} is not between "
+                 f"one and all {len(windows)} of its {model.cfg.max_seq_len}-token windows")
 
     rows, previous = [], {}
     for step, _, _, _, trace in trainer.steps(model, train_cfg, windows):
@@ -174,8 +179,7 @@ def cmd_alpha_table(args) -> int:
 
 
 def cmd_fit_scaling(args) -> int:
-    records = _read(scaling.read_records_csv, args.records)
-    params = scaling.fit(records)
+    params = _read(lambda path: scaling.fit(scaling.read_records_csv(path)), args.records)
     os.makedirs(args.out, exist_ok=True)
     params_path = os.path.join(args.out, "scaling_params.json")
     with open(params_path, "w") as f:
@@ -212,6 +216,7 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_s(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
+    _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)  # before the first run
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     results = []
     for s in args.s_grid:  # train makes args.out along with each run directory
@@ -227,8 +232,15 @@ def cmd_sweep_s(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line; the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}; see '{self.prog} --help' for usage\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trustquant",
         description="Quantization-aware training with trust-masked gradients",
     )
@@ -309,8 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A file that cannot be opened, read or written, and
+    a run that diverges, end it with one line on stderr and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename is not None else ""
+        sys.exit(f"trustquant: {where}{err.strerror or err}")
+    except trainer.TrainingDiverged as err:
+        sys.exit(f"trustquant: {err}")
 
 
 if __name__ == "__main__":

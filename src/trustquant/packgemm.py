@@ -3,10 +3,12 @@ bytes, integer GEMM, dequantize. Bit-exact against the float-simulated
 quantized layer up to final-float rounding.
 
 Codes are mid-rise grid indices i in [0, 15] with dequant value
-scale * (2i - 15) / 15, so the centered integer accumulator
-sum (2a-15)(2b-15) is exact in int32 for k <= 2^23
-(max |term| = 225, 225 * 2^23 < 2^31). Payload packs two codes per byte,
-low nibble first.
+scale * (2i - 15) / 15, so every partial sum of the centered accumulator
+sum (2a-15)(2b-15) over a group of g codes is an integer of magnitude at
+most 225 g. The GEMM runs on BLAS with the centered codes as floats, which
+hold such sums exactly: float32 for g <= MAX_F32_GROUP (225 g < 2^24),
+float64 above, up to MAX_INNER_DIM (225 * 2^23 < 2^53). Payload packs two
+codes per byte, low nibble first.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .model import ModelConfig
 from .quantizer import QuantConfig, project
 
 MAX_INNER_DIM = 1 << 23
+MAX_F32_GROUP = (1 << 24) // 225  # 74,565: the largest group float32 sums exactly
 PACK_CFG = QuantConfig(format="int4", hadamard=False)  # the grid that `pack` holds
 
 
@@ -80,13 +83,14 @@ def gemm_dequant(a: PackedMatrix, b: PackedMatrix) -> np.ndarray:
         )
     if a.cols > MAX_INNER_DIM:
         raise ValueError(f"inner dimension {a.cols} exceeds the exactness bound")
-    ca = (2 * unpack(a) - 15).astype(np.int32)
-    cb = (2 * unpack(b) - 15).astype(np.int32)
     g = a.group_size
+    dtype = np.float32 if g <= MAX_F32_GROUP else np.float64
+    ca = (2 * unpack(a) - 15).astype(dtype)
+    cb = (2 * unpack(b) - 15).astype(dtype)
     out = np.zeros((a.rows, b.rows), dtype=np.float64)
     for gi in range(a.n_groups):
         sl = slice(gi * g, (gi + 1) * g)
-        acc = ca[:, sl] @ cb[:, sl].T  # exact int32
+        acc = ca[:, sl] @ cb[:, sl].T  # exact: integer partial sums below 2^24 (2^53)
         out += np.outer(a.scales[:, gi], b.scales[:, gi]) * acc / 225.0
     return out
 

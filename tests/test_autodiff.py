@@ -293,6 +293,22 @@ class TestPrimitiveGradients:
             want[tok] += probe[i, j]
         assert np.allclose(n.grad, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_gather_gradient_equals_row_loop_bytewise(self, dtype):
+        rng = np.random.default_rng(29)
+        table = rng.standard_normal((256, 128)).astype(dtype)
+        ids = rng.integers(0, 6, (8, 128))  # every row hit about 170 times
+        ids[0, :3] = [255, -1, -256]  # negative ids index from the end, as in the forward
+        probe = (rng.standard_normal((8, 128, 128)) * 10.0 ** rng.integers(-3, 4, (8, 128, 1))
+                 ).astype(dtype)
+        t = ad.Tape()
+        n = t.leaf(table.copy())
+        probed_backward(t, ad.embedding_gather(n, ids), probe)
+        want = np.zeros_like(table)
+        for i, tok in enumerate(ids.reshape(-1)):
+            want[tok] += probe.reshape(-1, 128)[i]
+        assert n.grad.dtype == want.dtype and n.grad.tobytes() == want.tobytes()
+
 
 def probed_backward(t, out, probe):
     """Backward through `out` with upstream gradient `probe`."""

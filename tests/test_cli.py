@@ -1,10 +1,15 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +290,15 @@ class TestDiagnosticsCommands:
         assert proc.returncode == 2
         assert f"argument {flag}" in proc.stderr and message in proc.stderr
 
+    def test_mask_stats_divergence_is_one_line(self, workspace, tmp_path):
+        root, _, corpus = workspace
+        with pytest.raises(SystemExit) as exit_, np.errstate(all="ignore"):
+            main(["mask-stats", "--checkpoint", str(root / "run" / "model.ckpt"),
+                  "--data", str(corpus), "--out", str(tmp_path), "--steps", "8",
+                  "--batch-tokens", "128", "--lr", "1e30"])
+        assert re.fullmatch(r"trustquant: non-finite (loss|gradient norm) \S+ at optimizer "
+                            r"step \d+", exit_.value.code)
+
     def test_mask_stats_takes_zero_lr(self, workspace, tmp_path):
         root, _, corpus = workspace
         assert main(["mask-stats", "--checkpoint", str(root / "run" / "model.ckpt"),
@@ -449,3 +463,102 @@ class TestDispatch:
         for name in ("train", "eval", "align", "mask-stats", "alpha-table",
                      "fit-scaling", "plan-runs", "bench", "sweep-s"):
             assert name in proc.stdout
+
+
+# The robustness property gives every flag a value from its good pool but
+# for at most one, which it leaves out or draws from everything it knows. A
+# path flag's good value is the right file for its dest; "records.csv"
+# parses but holds one model size, which the fit rejects: a records CSV that
+# fits would take seconds per draw, and TestFitScaling covers it.
+INPUT_FILES = ["corpus.txt", "short.txt", "empty", "random.bin", "config.json",
+               "short-config.json", "cut-config.json", "model.ckpt", "cut.ckpt",
+               "records.csv", "cut-records.csv", "dir", "missing"]
+GOOD_TEXT = {"config": "config.json", "checkpoint": "model.ckpt", "data": "corpus.txt",
+             "records": "records.csv", "out": "out", "precisions": "4,16"}
+SMALL = ["1", "2", "16"]  # numbers every flag takes and runs in milliseconds
+BAD = ["0", "-1", "nan", "inf", "1e30", "x", "", "1,2", "2,nan"]
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A directory holding one file of each kind in INPUT_FILES but "missing".
+    The configs train a 1-block, hidden-8, 2-token model for 2 steps of 2
+    windows, and the corpus holds 12, fewer than a 16-window batch."""
+    root = tmp_path_factory.mktemp("inputs")
+    write_corpus(root / "corpus.txt", 24, seed=35)
+    (root / "short.txt").write_bytes(b"a")  # shorter than one window
+    (root / "empty").write_bytes(b"")
+    (root / "random.bin").write_bytes(np.random.default_rng(36).bytes(3_000))
+    config = {"model": {"num_blocks": 1, "hidden_size": 8, "num_heads": 2, "max_seq_len": 2,
+                        "quant": {"format": "int4"}},
+              "train": {"peak_lr": 2e-3, "total_steps": 2, "batch_tokens": 4,
+                        "data_path": "corpus.txt", "seed": 3}}
+    (root / "config.json").write_text(json.dumps(config))
+    config["train"]["data_path"] = "short.txt"
+    (root / "short-config.json").write_text(json.dumps(config))
+    (root / "cut-config.json").write_text(json.dumps(config)[:60])
+    with contextlib.chdir(root):
+        assert main(["train", "--config", "config.json", "--out", "run"]) == 0
+    ckpt = (root / "run" / "model.ckpt").read_bytes()
+    shutil.rmtree(root / "run")
+    (root / "model.ckpt").write_bytes(ckpt)
+    (root / "cut.ckpt").write_bytes(ckpt[: len(ckpt) // 2])
+    header = "n_params,tokens,precision,loss\n"
+    (root / "records.csv").write_text(header + "3e7,3e9,16,3.2\n3e7,6e9,16,3.1\n")
+    (root / "cut-records.csv").write_text(header + "3e7,3e9,16,3.2\n5e7,5e")
+    (root / "dir").mkdir()
+    return root
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and flags drawn from the parser's own actions. A flag
+    that takes a number is always given, so no default runs at full size."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    actions = [a for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+    odd = draw(st.sampled_from([None, *actions]))
+    argv = [command]
+    for action in actions:
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        if action.choices:
+            good = list(action.choices)
+        elif action.type is None:
+            good = [GOOD_TEXT[action.dest]]
+        else:
+            good = SMALL
+        if action is odd:
+            value = draw(st.sampled_from([None, *good, *SMALL, *BAD, *INPUT_FILES]))
+        elif action.required or action.type is not None or draw(st.booleans()):
+            value = draw(st.sampled_from(good))
+        else:
+            value = None
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+class TestAnyArgv:
+    @given(argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_ends_in_success_or_one_line(self, input_files, argv):
+        """Every draw returns 0, or exits 1 or 2 with one stderr line."""
+        out, err = io.StringIO(), io.StringIO()
+        with (tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp),
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            shutil.copytree(input_files, tmp, dirs_exist_ok=True)
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # as the interpreter reports it
+                code = exit_.code
+                if isinstance(code, str):
+                    print(code, file=sys.stderr)
+                    code = 1
+        if code != 0:
+            assert code in (1, 2) and err.getvalue().count("\n") == 1, (code, err.getvalue())
+            assert err.getvalue().endswith("\n")

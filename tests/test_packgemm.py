@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustquant.packgemm import (
+    MAX_F32_GROUP,
     PackedMatrix,
     bench,
     gemm_dequant,
@@ -104,6 +107,57 @@ class TestGemmDequant:
                           scales=np.ones((1, 1)), group_size=1 << 24)
         with pytest.raises(ValueError, match="exactness"):
             gemm_dequant(pm, pm)
+
+
+def frozen_gemm_dequant(a, b):
+    """gemm_dequant as it was with int32 accumulators, before it ran on BLAS."""
+    ca = (2 * unpack(a) - 15).astype(np.int32)
+    cb = (2 * unpack(b) - 15).astype(np.int32)
+    g = a.group_size
+    out = np.zeros((a.rows, b.rows), dtype=np.float64)
+    for gi in range(a.n_groups):
+        sl = slice(gi * g, (gi + 1) * g)
+        acc = ca[:, sl] @ cb[:, sl].T
+        out += np.outer(a.scales[:, gi], b.scales[:, gi]) * acc / 225.0
+    return out
+
+
+def packed_pair(rng, rows_a, rows_b, cols, group, extreme):
+    """Two packed operands. `extreme` draws mostly code 15 and makes row 0
+    all 15, so out[0, 0] sums 225 per code, as large as a sum can grow."""
+    def codes(rows):
+        if not extreme:
+            return rng.integers(0, 16, (rows, cols))
+        c = np.where(rng.random((rows, cols)) < 0.97, 15, rng.integers(0, 16, (rows, cols)))
+        c[0] = 15
+        return c
+
+    def scales(rows):
+        return np.exp(rng.standard_normal((rows, cols // group)))
+
+    return (pack(codes(rows_a), scales(rows_a), group),
+            pack(codes(rows_b), scales(rows_b), group))
+
+
+class TestGemmDequantOracle:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 48), st.integers(1, 3),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_int32_oracle_bytewise(self, rows_a, rows_b, group, pairs, extreme, seed):
+        rng = np.random.default_rng(seed)
+        cols = group * 2 * pairs  # an even number of groups, so any group size packs
+        a, b = packed_pair(rng, rows_a, rows_b, cols, group, extreme)
+        assert gemm_dequant(a, b).tobytes() == frozen_gemm_dequant(a, b).tobytes()
+
+    @pytest.mark.parametrize("group", [MAX_F32_GROUP, MAX_F32_GROUP + 2])
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_equals_int32_oracle_at_the_float32_bound(self, group, extreme):
+        # an all-15 group of odd size sums to an odd 225 * group, which float32
+        # holds at the bound and rounds just above it
+        assert 225 * (MAX_F32_GROUP + 2) > 1 << 24 > 225 * MAX_F32_GROUP
+        rng = np.random.default_rng(group + extreme)
+        a, b = packed_pair(rng, 3, 2, 2 * group, group, extreme)
+        assert gemm_dequant(a, b).tobytes() == frozen_gemm_dequant(a, b).tobytes()
 
 
 class TestBench:
