@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import diagnostics, packgemm, scaling, trainer
 from .model import ModelConfig, build, load_checkpoint
 from .quantizer import FORMATS, INT_FORMATS, QuantConfig, alpha_star, gaussian_grid_mse
@@ -75,6 +77,21 @@ def _load_config(path):
             sys.exit(f"trustquant: {path}: {err}")
 
 
+def _check_corpus(config_path, model_cfg: ModelConfig, train_cfg: trainer.TrainConfig) -> None:
+    """Before a run starts, check that the config's corpus reads and holds
+    enough training windows for one batch of `batch_tokens`; the windows
+    held out for eval_loss do not count. Exits with one line otherwise."""
+    windows = _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)
+    held_out = trainer.EVAL_WINDOWS if train_cfg.eval_interval else 0
+    usable = max(0, len(windows) - held_out)
+    batch = train_cfg.batch_tokens // model_cfg.max_seq_len
+    if not 1 <= batch <= usable:
+        sys.exit(f"trustquant: {config_path}: batch_tokens {train_cfg.batch_tokens} gives "
+                 f"batches of {batch} {model_cfg.max_seq_len}-token windows, not between 1 "
+                 f"and the {usable} training windows of {train_cfg.data_path}"
+                 + (f" ({held_out} more are held out for eval_loss)" if held_out else ""))
+
+
 def _even_int(text: str) -> int:
     value = _positive_int(text)
     if value % 2:
@@ -105,7 +122,7 @@ def _write_rows(path, header, rows) -> None:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
-    _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)  # before the run starts
+    _check_corpus(args.config, model_cfg, train_cfg)
     model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     model = build(model_cfg, Rng(train_cfg.seed))
@@ -216,7 +233,7 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_s(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
-    _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)  # before the first run
+    _check_corpus(args.config, model_cfg, train_cfg)
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     results = []
     for s in args.s_grid:  # train makes args.out along with each run directory
@@ -322,10 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. A file that cannot be opened, read or written, and
-    a run that diverges, end it with one line on stderr and exit 1."""
+    a run that diverges, end it with one line on stderr and exit 1. numpy's
+    floating-point warnings are off: a value that goes non-finite is
+    reported once, where a check meets it (a diverged run's one line, or a
+    loss printed as nan), not as warnings ahead of that line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except OSError as err:
         where = f"{err.filename}: " if err.filename is not None else ""
         sys.exit(f"trustquant: {where}{err.strerror or err}")

@@ -14,6 +14,15 @@ softmax and head merge inside one node; `ad.swiglu` takes gate and up.
 The MLP intermediate width is 8/3 of the hidden size padded up to a multiple
 of 256. Byte-level vocabulary (256) by default.
 
+Parameters are read-only values: `build` and `load_checkpoint` return
+read-only arrays, and the optimizer replaces an array rather than writing
+into it. So a weight's transformed and projected operand is computed once
+per array (`qlinear.weight`), and an eval pass, which never changes the
+weights, transforms and projects only activations after its first batch.
+`forward_logits` asks for every weight's operand before it computes the
+first activation, so the long-lived operands are allocated ahead of the
+pass's short-lived buffers.
+
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
 `Model.params` order; zip's CRC-32 covers each member's payload.
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .qlinear import qlinear
+from .qlinear import qlinear, weight
 from .quantizer import QuantConfig
 from .tensor import F32, Rng, require_count, require_real
 
@@ -118,6 +127,9 @@ class ForwardTrace:
 
 
 class Model:
+    """A config and its parameters by name. Parameters made by `build` and
+    `load_checkpoint` are read-only; replace an array to change it."""
+
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
@@ -137,7 +149,8 @@ def rope_tables(cfg: ModelConfig, seq_len: int):
 
 def build(cfg: ModelConfig, rng: Rng) -> Model:
     """Initialize parameters: norm gains at 1, weights normal with std 0.02,
-    and the residual-path outputs (wo, w_down) with the depth-scaled std."""
+    and the residual-path outputs (wo, w_down) with the depth-scaled std.
+    Every array is read-only."""
     residual_std = 0.02 / np.sqrt(2.0 * cfg.num_blocks)
     params: dict[str, np.ndarray] = {}
     for name, shape in cfg.param_shapes().items():
@@ -146,6 +159,7 @@ def build(cfg: ModelConfig, rng: Rng) -> Model:
         else:
             std = residual_std if name.endswith(("wo", "w_down")) else 0.02
             params[name] = rng.normal(shape, dtype=F32) * F32(std)
+        params[name].flags.writeable = False
     return Model(cfg, params)
 
 
@@ -162,6 +176,9 @@ def forward_logits(model: Model, tokens: np.ndarray):
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
+    # every projection weight's operand first: memoized ones outlive the pass
+    operands = {name: weight(arr, cfg.quant) for name, arr in model.params.items()
+                if name.startswith("block") and not Model.is_norm_gain(name)}
     tape = ad.Tape()
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
     trace = ForwardTrace(param_leaves=leaves)
@@ -170,7 +187,8 @@ def forward_logits(model: Model, tokens: np.ndarray):
 
     def proj(x, *names):
         """One output node per named weight; the weights share x's operand."""
-        outs = qlinear(x, [leaves[name] for name in names], cfg.quant)
+        outs = qlinear(x, [leaves[name] for name in names], cfg.quant,
+                       [operands[name] for name in names])
         for name, (_, ctx) in zip(names, outs):
             trace.layer_contexts[name] = ctx
         return [node for node, _ in outs]
@@ -228,10 +246,11 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint written by save_checkpoint. OSError if `path` cannot
-    be opened; ValueError for a file that does not decode as a checkpoint
-    (an OSError while decoding included) or whose parameter names and shapes
-    differ from those its config defines."""
+    """Read a checkpoint written by save_checkpoint; its parameters are
+    read-only arrays. OSError if `path` cannot be opened; ValueError for a
+    file that does not decode as a checkpoint (an OSError while decoding
+    included) or whose parameter names and shapes differ from those its
+    config defines."""
     with open(path, "rb") as f:
         try:
             with np.load(f, allow_pickle=False) as npz:
@@ -239,7 +258,9 @@ def load_checkpoint(path) -> Model:
                 if (bad := npz.zip.testzip()) is not None:
                     raise ValueError(f"member {bad!r} fails its CRC check")
                 cfg = ModelConfig.from_json(str(npz[_CONFIG]))
-                params = {name: npz[name] for name in npz.files if name != _CONFIG}
+                # np.load hands back views; a copy owns its memory, which the
+                # weight memo asks of an array (`qlinear.weight`)
+                params = {name: npz[name].copy() for name in npz.files if name != _CONFIG}
         except (EOFError, KeyError, NotImplementedError, OSError, SyntaxError, ValueError,
                 tokenize.TokenError, zipfile.BadZipFile) as err:
             raise ValueError(f"not a model checkpoint: {path} ({err})") from err
@@ -250,4 +271,6 @@ def load_checkpoint(path) -> Model:
         problem = ("missing" if name not in got else "unexpected" if name not in want
                    else f"shape {got[name]}, expected {want[name]}")
         raise ValueError(f"not a model checkpoint: {path} (parameter {name!r}: {problem})")
+    for p in params.values():
+        p.flags.writeable = False
     return Model(cfg, params)

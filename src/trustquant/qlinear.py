@@ -3,7 +3,8 @@
 Forward: x_h = HT(x); x_hat_h = proj(x_h); w_h = HT(w); w_hat_h = proj(w_h);
 y = x_hat_h @ w_hat_h^T. Format "none" projects neither operand and
 weight_only leaves x unprojected; an operand that is not projected passes
-through unchanged with an all-true trust mask. The transform and the
+through unchanged with a read-only all-true trust mask (a broadcast of one
+True, no fresh array). The transform and the
 projection run along the shared inner axis k, the last axis of both
 operands, so its length comes from the operands. The context
 carries exactly what the backward needs: y's operands x_hat_h and w_hat_h,
@@ -17,6 +18,16 @@ still one matmul and one tape node per weight. The contexts of a group share
 the x_hat_h and mask_x arrays; nothing writes to them after the forward. The
 backward is per weight and unchanged, and the tape sums the x-gradients.
 
+A weight's side, (w_hat_h, mask_w) from `weight(w, cfg)`, is computed once
+per weight array: the model's parameters are read-only values that the
+optimizer replaces rather than writes, so for a read-only array that owns
+its memory the operand is memoized, keyed by the array's identity and the
+config fields the weight side reads (format, group_size, hadamard and
+trust_scale). The memoized arrays are read-only, the memo never holds the
+weight itself, and an array's entries go when the array is freed. A
+writeable array or a view is never memoized: it is transformed and
+projected on every call.
+
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
 The STE variant forces both masks to all-true. Masks are saved from the
@@ -25,6 +36,7 @@ forward pass, never recomputed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +59,18 @@ class QLinearContext:
     hadamard: bool
 
 
-def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig, *, operand=None):
+def forward(x: np.ndarray, w: np.ndarray, cfg: QuantConfig, *, operands=None):
     """Run the quantized layer; returns (y, context).
 
-    x is batch x k, w is n x k (row-major); y is batch x n. `operand` is x's
-    (x_hat_h, mask_x) from `activation(x, cfg)`, for a caller that shares it
-    between weights; by default it is computed here.
+    x is batch x k, w is n x k (row-major); y is batch x n. `operands` is
+    (x's operand from `activation(x, cfg)`, w's from `weight(w, cfg)`), for a
+    caller that already holds them; by default both are computed here.
     """
     if x.ndim != 2 or w.ndim != 2:
         raise ValueError(f"expected 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"inner dimensions disagree: {x.shape} x {w.shape}")
-    x_hat, mask_x = activation(x, cfg) if operand is None else operand
-    w_hat, mask_w = _operand(w, cfg, cfg.format != "none")
+    (x_hat, mask_x), (w_hat, mask_w) = operands or (activation(x, cfg), weight(w, cfg))
     return x_hat @ w_hat.T, QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
 
 
@@ -70,13 +81,40 @@ def activation(x: np.ndarray, cfg: QuantConfig):
     return _operand(x, cfg, cfg.format != "none" and not cfg.weight_only)
 
 
+# id(weight) -> {weight key: (w_hat_h, mask_w)}; a weakref finalizer drops a
+# weight's entry when the weight is freed, before its id can be reused
+_MEMO: dict[int, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def weight(w: np.ndarray, cfg: QuantConfig):
+    """w's side of the layer, (w_hat_h, mask_w), transformed and projected
+    along k as cfg says. For a read-only w that owns its memory it is
+    computed once per array and key, then read from the memo."""
+    if w.flags.writeable or not w.flags.owndata:
+        return _operand(w, cfg, cfg.format != "none")
+    key = (cfg.format, cfg.group_size, cfg.hadamard, cfg.trust_scale)
+    memo = _MEMO.get(id(w))
+    if memo is not None and key in memo:
+        return memo[key]
+    operand = _operand(w, cfg, cfg.format != "none")
+    if operand[0] is w:  # no transform or projection: holding it would keep w alive
+        return operand
+    for a in operand:
+        a.flags.writeable = False
+    if memo is None:
+        memo = _MEMO[id(w)] = {}
+        weakref.finalize(w, _MEMO.pop, id(w), None)
+    memo[key] = operand
+    return operand
+
+
 def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
     """(grid values, trust mask) of an operand, transformed along k when cfg
-    says so: projected, or passed as is with an all-true mask."""
+    says so: projected, or passed as is with a read-only all-true mask."""
     if cfg.hadamard:
         a = ht(a)
     if not projected:
-        return a, np.ones(a.shape, dtype=bool)
+        return a, np.broadcast_to(True, a.shape)
     p = project(a, cfg)
     return p.values, p.trust_mask
 
@@ -110,19 +148,22 @@ def ste_backward(ctx: QLinearContext, grad_y: np.ndarray):
     return _estimate(ctx, grad_y, masked=False)
 
 
-def qlinear(x: Node, ws, cfg: QuantConfig):
+def qlinear(x: Node, ws, cfg: QuantConfig, w_operands=None):
     """Tape registration of a group of layers that read one activation;
     backward follows cfg.estimator.
 
     x is (..., k); each weight in `ws` is n_i x k and its output (..., n_i).
     Returns one (output node, context) per weight, in order. x is transformed
-    and projected once for the whole group.
+    and projected once for the whole group. `w_operands` holds each weight's
+    operand from `weight`, for a caller that already asked for them.
     """
     x2 = x.value.reshape((-1,) + x.shape[-1:])
     operand = activation(x2, cfg)
+    if w_operands is None:
+        w_operands = [weight(w.value, cfg) for w in ws]
     estimator = backward if cfg.estimator == "trust" else ste_backward
-    return [_record(x, w, *forward(x2, w.value, cfg, operand=operand), estimator)
-            for w in ws]
+    return [_record(x, w, *forward(x2, w.value, cfg, operands=(operand, w_operand)), estimator)
+            for w, w_operand in zip(ws, w_operands)]
 
 
 def _record(x: Node, w: Node, y: np.ndarray, ctx: QLinearContext, estimator):

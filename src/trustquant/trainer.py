@@ -2,9 +2,12 @@
 clipping, byte-level data ingestion, JSONL metrics, checkpointing.
 
 Master weights stay full-precision; quantization only ever touches the
-forward/backward views inside the quantized linear layers. Weight decay is
-decoupled and skipped for normalization gains (the architecture has no
-biases). Runs are deterministic given the seed.
+forward/backward views inside the quantized linear layers. Parameters are
+read-only values: each AdamW step replaces every parameter array with a new
+read-only one and never writes into the old, so a weight's memoized
+quantized operand (`qlinear.weight`) always belongs to the values it was
+made from. Weight decay is decoupled and skipped for normalization gains
+(the architecture has no biases). Runs are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ ADAM_BETAS = (0.90, 0.95)
 ADAM_EPS = 1e-8
 WARMUP_FRAC = 0.10
 EVAL_BATCH = 16  # windows per forward pass in eval_loss
+EVAL_WINDOWS = 8  # corpus windows held out for mid-run eval_loss when eval_interval > 0
 
 
 class TrainingDiverged(RuntimeError):
@@ -99,8 +103,10 @@ def adamw_step(
     cfg: TrainConfig,
     skip_decay=(),
 ) -> None:
-    """Decoupled-weight-decay Adam update, in place. The gradients must be
-    finite; `train_step` checks their global norm before calling this."""
+    """Decoupled-weight-decay Adam update. It replaces each `params[name]`
+    with a new read-only array and writes into no parameter; the moments
+    in `state` update in place. The gradients must be finite; `train_step`
+    checks their global norm before calling this."""
     beta1, beta2 = ADAM_BETAS
     state.step += 1
     t = state.step
@@ -118,9 +124,11 @@ def adamw_step(
         v += (1.0 - beta2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
+        new = p - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
         if cfg.weight_decay and name not in skip_decay:
-            p *= 1.0 - lr * cfg.weight_decay
+            new *= 1.0 - lr * cfg.weight_decay
+        new.flags.writeable = False
+        params[name] = new
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], threshold: float = 1.0):
@@ -232,13 +240,14 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     """Run the loop; emits metrics.jsonl and model.ckpt under out_dir.
 
     With eval_interval > 0, every eval_interval-th record gains eval_loss
-    over the corpus's first 8 windows, which training then never draws.
+    over the corpus's first EVAL_WINDOWS windows, which training then never
+    draws.
     Returns the list of per-step metric records. Aborts on divergence with
     the last good checkpoint saved.
     """
     os.makedirs(out_dir, exist_ok=True)
     windows = ingest(cfg.data_path, model.cfg.max_seq_len)
-    held_out = 8 if cfg.eval_interval else 0
+    held_out = EVAL_WINDOWS if cfg.eval_interval else 0
     eval_batch, windows = windows[:held_out], windows[held_out:]
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "model.ckpt")

@@ -299,6 +299,17 @@ class TestDiagnosticsCommands:
         assert re.fullmatch(r"trustquant: non-finite (loss|gradient norm) \S+ at optimizer "
                             r"step \d+", exit_.value.code)
 
+    def test_divergence_prints_no_warnings(self, workspace, tmp_path):
+        """Outside pytest, which captures them, numpy's overflow warnings
+        would reach stderr ahead of the one line."""
+        root, _, corpus = workspace
+        proc = run_cli(["mask-stats", "--checkpoint", str(root / "run" / "model.ckpt"),
+                        "--data", str(corpus), "--out", str(tmp_path), "--steps", "8",
+                        "--batch-tokens", "128", "--lr", "1e30"])
+        assert proc.returncode == 1
+        assert re.fullmatch(r"trustquant: non-finite (loss|gradient norm) \S+ at optimizer "
+                            r"step \d+\n", proc.stderr), proc.stderr
+
     def test_mask_stats_takes_zero_lr(self, workspace, tmp_path):
         root, _, corpus = workspace
         assert main(["mask-stats", "--checkpoint", str(root / "run" / "model.ckpt"),
@@ -421,6 +432,29 @@ class TestConfigFile:
         assert proc.returncode != 0
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert str(path) in proc.stderr and repr(key) in proc.stderr
+
+    @pytest.mark.parametrize("command, batch_tokens, eval_interval, batch, usable", [
+        ("train", 32, 0, 0, 62),  # below one window
+        ("train", 64 * 63, 0, 63, 62),  # more windows than the corpus holds
+        ("train", 64 * 60, 5, 60, 54),  # more than it holds beside the held-out ones
+        ("sweep-s", 32, 0, 0, 62),
+    ], ids=["zero", "too-many", "held-out", "sweep-s"])
+    def test_batch_the_corpus_cannot_fill_is_one_line(self, command, batch_tokens,
+                                                      eval_interval, batch, usable, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 4_000, seed=33)  # 62 windows of 64
+        config = {"model": {"num_blocks": 1, "hidden_size": 16, "num_heads": 2,
+                            "max_seq_len": 64, "quant": {"format": "int4"}},
+                  "train": {"peak_lr": 2e-3, "total_steps": 2, "batch_tokens": batch_tokens,
+                            "data_path": str(corpus), "eval_interval": eval_interval}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"trustquant: {path}: batch_tokens {batch_tokens} gives batches of {batch} "
+            f"64-token windows, not between 1 and the {usable} training windows of {corpus}")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestReadme:

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import tempfile
 import time
+import weakref
 import zipfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustquant import qlinear as ql
 from trustquant.diagnostics import mask_fraction
 from trustquant.model import (
     Model,
@@ -24,6 +27,7 @@ from trustquant.model import (
 )
 from trustquant.quantizer import FORMATS, QuantConfig
 from trustquant.tensor import Rng
+from trustquant.trainer import AdamWState, TrainConfig, eval_loss, train_step
 
 
 def tiny_cfg(**kw):
@@ -254,7 +258,14 @@ class TestCheckpoint:
                 got = back.params[name]
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
-                assert got.flags.writeable  # training continues from a loaded model
+            # training continues from a loaded model: a step replaces its arrays
+            loaded = dict(back.params)
+            train_step(back, Rng(24).integers(0, 256, (2, 17)), AdamWState(), 1e-3,
+                       TrainConfig(peak_lr=1e-3, total_steps=1, batch_tokens=32))
+            for name, old in loaded.items():
+                new = back.params[name]
+                assert new is not old and not new.flags.writeable, name
+                assert new.tobytes() != old.tobytes(), name
 
     @given(
         st.builds(
@@ -460,3 +471,116 @@ class TestCheckpoint:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _memo_arrays():
+    """Every array the weight memo holds."""
+    return [a for entry in ql._MEMO.values() for operand in entry.values() for a in operand]
+
+
+class TestWeightMemo:
+    """A weight's quantized operand is computed once per read-only array."""
+
+    @pytest.mark.parametrize("quant", [
+        QuantConfig(format="int4"), QuantConfig(format="fp4", group_size=16),
+        QuantConfig(format="int4-sparse-2of4"), QuantConfig(format="int1", hadamard=False),
+        QuantConfig(format="none"), QuantConfig(format="none", hadamard=False),
+    ], ids=["int4", "fp4-g16", "sparse", "int1-no-ht", "none-ht", "none"])
+    def test_eval_losses_cold_warm_and_bypassed_are_identical(self, quant):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=32, quant=quant), Rng(30))
+        windows = Rng(31).integers(0, 256, (40, 17))
+        cold = float(forward_loss(model, windows[:16])[0].value)  # fills the memo
+        warm = float(forward_loss(model, windows[:16])[0].value)
+        copies = Model(model.cfg, {n: p.copy() for n, p in model.params.items()})
+        bypassed = float(forward_loss(copies, windows[:16])[0].value)
+        assert cold == warm == bypassed
+        assert eval_loss(model, windows) == eval_loss(copies, windows)
+        assert not any(id(p) in ql._MEMO for p in copies.params.values())  # writeable
+
+    def test_one_entry_per_weight_key(self):
+        """align's weight_only reference pass reads the same weight operands;
+        a config that changes the weight side adds its own entry."""
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16,
+                               quant=QuantConfig(format="int4")), Rng(32))
+        tokens = Rng(33).integers(0, 256, (2, 9))
+        wq = model.params["block0.wq"]
+        forward_loss(model, tokens)
+        first = ql._MEMO[id(wq)][("int4", None, True, 1.0)]
+        for quant in [dataclasses.replace(model.cfg.quant, weight_only=True),
+                      dataclasses.replace(model.cfg.quant, estimator="ste")]:
+            _, _, trace = forward_loss(Model(dataclasses.replace(model.cfg, quant=quant),
+                                             model.params), tokens)
+            assert trace.layer_contexts["block0.wq"].w_hat_h is first[0]
+        assert len(ql._MEMO[id(wq)]) == 1
+        no_ht = dataclasses.replace(model.cfg.quant, hadamard=False)
+        forward_loss(Model(dataclasses.replace(model.cfg, quant=no_ht), model.params), tokens)
+        assert len(ql._MEMO[id(wq)]) == 2
+        assert all(not a.flags.writeable for a in _memo_arrays())
+
+    def test_views_bypass_the_memo(self):
+        w = build(tiny_cfg(num_blocks=1, hidden_size=16), Rng(34)).params["block0.wq"]
+        view = w[:, :]
+        cfg = QuantConfig(format="int4")
+        got = ql.weight(view, cfg)
+        assert not view.flags.writeable and id(view) not in ql._MEMO
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ql.weight(w, cfg)))
+
+    def test_next_forward_after_adamw_equals_a_fresh_model(self):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=32,
+                               quant=QuantConfig(format="int4")), Rng(35))
+        tokens = Rng(36).integers(0, 256, (4, 17))
+        tcfg = TrainConfig(peak_lr=1e-2, total_steps=3, batch_tokens=64)
+        state = AdamWState()
+        for _ in range(2):
+            before = dict(model.params)
+            train_step(model, tokens, state, 1e-2, tcfg)
+            assert all(model.params[n] is not p for n, p in before.items())
+            loss = float(forward_loss(model, tokens)[0].value)
+            fresh = Model(model.cfg, {n: p.copy() for n, p in model.params.items()})
+            assert loss == float(forward_loss(fresh, tokens)[0].value)
+
+    def test_built_loaded_and_updated_parameters_are_read_only(self, tmp_path):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16), Rng(37))
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        updated = Model(model.cfg, dict(model.params))
+        train_step(updated, Rng(38).integers(0, 256, (2, 9)), AdamWState(), 1e-3,
+                   TrainConfig(peak_lr=1e-3, total_steps=1, batch_tokens=16))
+        for params in (model.params, loaded.params, updated.params):
+            for name, p in params.items():
+                assert p.flags.owndata, name
+                with pytest.raises(ValueError, match="read-only"):
+                    p += 1
+                with pytest.raises(ValueError, match="read-only"):
+                    p.reshape(-1)[0] = 0
+
+    def test_entries_go_with_their_model(self):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16,
+                               quant=QuantConfig(format="int4")), Rng(39))
+        forward_loss(model, Rng(40).integers(0, 256, (2, 9)))
+        ids = {id(p) for p in model.params.values()}
+        held = [weakref.ref(a) for p in model.params.values()
+                for operand in ql._MEMO.get(id(p), {}).values() for a in operand]
+        assert len(held) == 2 * 7
+        del model
+        gc.collect()
+        assert not ids & set(ql._MEMO)
+        assert all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("hadamard", [True, False])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_memo_never_holds_a_parameter(self, fmt, hadamard):
+        """Holding an operand that is the weight itself kept every step's
+        parameters alive; the replaced arrays must be freed."""
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16,
+                               quant=QuantConfig(format=fmt, hadamard=hadamard)), Rng(41))
+        tokens = Rng(42).integers(0, 256, (2, 9))
+        first = [weakref.ref(p) for p in model.params.values()]
+        tcfg = TrainConfig(peak_lr=1e-3, total_steps=3, batch_tokens=16)
+        state = AdamWState()
+        for _ in range(2):
+            train_step(model, tokens, state, 1e-3, tcfg)
+            for a in _memo_arrays():
+                assert not any(np.shares_memory(a, p) for p in model.params.values())
+        gc.collect()
+        assert all(ref() is None for ref in first)

@@ -383,7 +383,9 @@ class TestTrainStep:
         tcfg = TrainConfig(peak_lr=2e-3, total_steps=5, batch_tokens=128,
                            data_path=str(corpus), seed=21)
         model = int4_model()
-        model.params["head"][0, 0] = np.nan
+        head = model.params["head"].copy()  # parameters are read-only: replace, not write
+        head[0, 0] = np.nan
+        model.params["head"] = head
         before = {name: p.copy() for name, p in model.params.items()}
         out = tmp_path / "out"
         with pytest.raises(TrainingDiverged) as err:

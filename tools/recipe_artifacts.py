@@ -17,6 +17,9 @@ PYTHONDONTWRITEBYTECODE=1 and QUEST_SEED unset:
   --seed 4` on the int4 checkpoint;
 - align/alignment.csv: `align --batches 3 --batch-size 2 --seed 3` on the int4
   checkpoint;
+- eval.txt: the stdout of `eval` on the int4 checkpoint and the whole corpus,
+  which scores 59 batches of one model, so it covers the weight operands that
+  a forward reuses across batches;
 - alpha_table.csv: the stdout of `alpha-table`;
 - plan_runs.csv: the stdout of `plan-runs --sizes 30e6,50e6 --precisions 1,2,3,4,16`;
 - fit-scaling/: `fit-scaling` on records.csv, 36 run records that this tool
@@ -91,6 +94,8 @@ def main(argv=None) -> int:
         "--steps", "12", "--interval", "4", "--batch-tokens", "512", "--seed", "4")
     cli("align", "--checkpoint", ckpt, "--data", "corpus.txt", "--out", "align",
         "--batches", "3", "--batch-size", "2", "--seed", "3")
+    with open(os.path.join(out, "eval.txt"), "w") as f:
+        cli("eval", "--checkpoint", ckpt, "--data", "corpus.txt", stdout=f)
     with open(os.path.join(out, "alpha_table.csv"), "w") as f:
         cli("alpha-table", stdout=f)
     with open(os.path.join(out, "plan_runs.csv"), "w") as f:
