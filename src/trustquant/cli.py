@@ -1,7 +1,7 @@
 """Single entry point for every workflow; outputs are tables/CSV/JSONL.
 
-Seed precedence: QUEST_SEED env var overrides --seed, which overrides the
-config file. Every subcommand is deterministic given the effective seed.
+Seed precedence: --seed overrides the config file. Every subcommand is
+deterministic given the effective seed.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from .tensor import Rng
 
 
 def _effective_seed(args, config_seed: int = 0) -> int:
-    if os.environ.get("QUEST_SEED"):
-        return int(os.environ["QUEST_SEED"])
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return config_seed
+    return config_seed if args.seed is None else args.seed
 
 
 def _positive_int(text: str) -> int:
@@ -82,7 +78,7 @@ def _check_corpus(config_path, model_cfg: ModelConfig, train_cfg: trainer.TrainC
     enough training windows for one batch of `batch_tokens`; the windows
     held out for eval_loss do not count. Exits with one line otherwise."""
     windows = _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)
-    held_out = trainer.EVAL_WINDOWS if train_cfg.eval_interval else 0
+    held_out = trainer.held_out_windows(train_cfg)
     usable = max(0, len(windows) - held_out)
     batch = train_cfg.batch_tokens // model_cfg.max_seq_len
     if not 1 <= batch <= usable:

@@ -52,20 +52,24 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(a @ b / (na * nb))
 
 
-def _block_grads(model: Model, tokens: np.ndarray, quant: QuantConfig):
-    variant = Model(dataclasses.replace(model.cfg, quant=quant), model.params)  # shares arrays
-    loss, tape, trace = forward_loss(variant, tokens)
+def _variants(model: Model, quant: QuantConfig) -> tuple[Model, Model]:
+    """Models over `model`'s parameter arrays under `quant`, and under
+    `quant` with activation quantization disabled."""
+    return tuple(Model(dataclasses.replace(model.cfg, quant=q), model.params)
+                 for q in (quant, dataclasses.replace(quant, weight_only=True)))
+
+
+def _block_grads(model: Model, tokens: np.ndarray):
+    loss, tape, trace = forward_loss(model, tokens)
     tape.backward(loss)
     return [node.grad for node in trace.block_outputs]
 
 
-def _block_cosines(model: Model, tokens: np.ndarray,
-                   quant: QuantConfig) -> list[float | None]:
-    """Per-block cosine of the activation gradient under `quant` with the
-    gradient under the same config with activation quantization disabled."""
-    quantized = _block_grads(model, tokens, quant)
-    reference = _block_grads(model, tokens, dataclasses.replace(quant, weight_only=True))
-    return [cosine(q, r) for q, r in zip(quantized, reference)]
+def _block_cosines(quantized: Model, reference: Model,
+                   tokens: np.ndarray) -> list[float | None]:
+    """Per-block cosine of the activation gradients of two models."""
+    return [cosine(q, r) for q, r in zip(_block_grads(quantized, tokens),
+                                         _block_grads(reference, tokens))]
 
 
 def grad_alignment(model: Model, tokens: np.ndarray, block: int) -> float | None:
@@ -73,16 +77,18 @@ def grad_alignment(model: Model, tokens: np.ndarray, block: int) -> float | None
     activation quantization. None when either gradient has zero norm."""
     if block >= model.cfg.num_blocks:
         raise ValueError(f"block {block} out of range for {model.cfg.num_blocks} blocks")
-    return _block_cosines(model, tokens, model.cfg.quant)[block]
+    return _block_cosines(*_variants(model, model.cfg.quant), tokens)[block]
 
 
 def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[AlignmentRecord]:
-    """Alignment for every block x estimator tag over a batch population."""
+    """Alignment for every block x estimator tag over a batch population.
+    Each tag's two models are built once, so their weight operands are
+    computed once per sweep, not once per batch."""
+    variants = {tag: _variants(model, estimator_config(model.cfg.quant, tag)) for tag in tags}
     records = []
     for sample, tokens in enumerate(batches):
         for tag in tags:
-            xis = _block_cosines(model, tokens, estimator_config(model.cfg.quant, tag))
-            for block, xi in enumerate(xis):
+            for block, xi in enumerate(_block_cosines(*variants[tag], tokens)):
                 records.append(AlignmentRecord(block=block, tag=tag, xi=xi, sample=sample))
     return records
 

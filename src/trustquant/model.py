@@ -16,12 +16,12 @@ of 256. Byte-level vocabulary (256) by default.
 
 Parameters are read-only values: `build` and `load_checkpoint` return
 read-only arrays, and the optimizer replaces an array rather than writing
-into it. So a weight's transformed and projected operand is computed once
-per array (`qlinear.weight`), and an eval pass, which never changes the
-weights, transforms and projects only activations after its first batch.
-`forward_logits` asks for every weight's operand before it computes the
-first activation, so the long-lived operands are allocated ahead of the
-pass's short-lived buffers.
+into it. So a `Model` keeps each projection weight's transformed and
+projected operand (`Model.operand`) while `params[name]` is the array it was
+made from, and an eval pass, which never changes the weights, transforms
+and projects only activations after its first batch. `forward_logits` asks
+for every weight's operand before it computes the first activation, so the
+long-lived operands are allocated ahead of the pass's short-lived buffers.
 
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
@@ -133,6 +133,23 @@ class Model:
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
+        self._operands: dict[str, tuple] = {}  # name -> (weight array, its operand)
+
+    def operand(self, name: str):
+        """`qlinear.weight` of params[name] under cfg.quant. For a read-only
+        array that owns its memory it is computed once and kept, read-only,
+        while params[name] is that array; a writeable array or a view is
+        transformed and projected on every call."""
+        w = self.params[name]
+        held, operand = self._operands.pop(name, (None, None))
+        if w.flags.writeable or not w.flags.owndata:
+            return weight(w, self.cfg.quant)
+        if held is not w:
+            operand = weight(w, self.cfg.quant)
+            for a in operand:
+                a.flags.writeable = False
+        self._operands[name] = w, operand
+        return operand
 
     @staticmethod
     def is_norm_gain(name: str) -> bool:
@@ -176,8 +193,8 @@ def forward_logits(model: Model, tokens: np.ndarray):
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
-    # every projection weight's operand first: memoized ones outlive the pass
-    operands = {name: weight(arr, cfg.quant) for name, arr in model.params.items()
+    # every projection weight's operand first: the model keeps them past the pass
+    operands = {name: model.operand(name) for name in model.params
                 if name.startswith("block") and not Model.is_norm_gain(name)}
     tape = ad.Tape()
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
@@ -258,8 +275,8 @@ def load_checkpoint(path) -> Model:
                 if (bad := npz.zip.testzip()) is not None:
                     raise ValueError(f"member {bad!r} fails its CRC check")
                 cfg = ModelConfig.from_json(str(npz[_CONFIG]))
-                # np.load hands back views; a copy owns its memory, which the
-                # weight memo asks of an array (`qlinear.weight`)
+                # np.load hands back views; a copy owns its memory, which
+                # `Model.operand` asks of an array it keeps an operand for
                 params = {name: npz[name].copy() for name in npz.files if name != _CONFIG}
         except (EOFError, KeyError, NotImplementedError, OSError, SyntaxError, ValueError,
                 tokenize.TokenError, zipfile.BadZipFile) as err:

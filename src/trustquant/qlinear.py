@@ -18,15 +18,9 @@ still one matmul and one tape node per weight. The contexts of a group share
 the x_hat_h and mask_x arrays; nothing writes to them after the forward. The
 backward is per weight and unchanged, and the tape sums the x-gradients.
 
-A weight's side, (w_hat_h, mask_w) from `weight(w, cfg)`, is computed once
-per weight array: the model's parameters are read-only values that the
-optimizer replaces rather than writes, so for a read-only array that owns
-its memory the operand is memoized, keyed by the array's identity and the
-config fields the weight side reads (format, group_size, hadamard and
-trust_scale). The memoized arrays are read-only, the memo never holds the
-weight itself, and an array's entries go when the array is freed. A
-writeable array or a view is never memoized: it is transformed and
-projected on every call.
+A weight's side, (w_hat_h, mask_w) from `weight(w, cfg)`, depends on w and
+cfg alone; a caller that runs one weight many times can compute it once and
+pass it back in (`model.Model.operand` does).
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -36,7 +30,6 @@ forward pass, never recomputed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,31 +74,10 @@ def activation(x: np.ndarray, cfg: QuantConfig):
     return _operand(x, cfg, cfg.format != "none" and not cfg.weight_only)
 
 
-# id(weight) -> {weight key: (w_hat_h, mask_w)}; a weakref finalizer drops a
-# weight's entry when the weight is freed, before its id can be reused
-_MEMO: dict[int, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {}
-
-
 def weight(w: np.ndarray, cfg: QuantConfig):
     """w's side of the layer, (w_hat_h, mask_w), transformed and projected
-    along k as cfg says. For a read-only w that owns its memory it is
-    computed once per array and key, then read from the memo."""
-    if w.flags.writeable or not w.flags.owndata:
-        return _operand(w, cfg, cfg.format != "none")
-    key = (cfg.format, cfg.group_size, cfg.hadamard, cfg.trust_scale)
-    memo = _MEMO.get(id(w))
-    if memo is not None and key in memo:
-        return memo[key]
-    operand = _operand(w, cfg, cfg.format != "none")
-    if operand[0] is w:  # no transform or projection: holding it would keep w alive
-        return operand
-    for a in operand:
-        a.flags.writeable = False
-    if memo is None:
-        memo = _MEMO[id(w)] = {}
-        weakref.finalize(w, _MEMO.pop, id(w), None)
-    memo[key] = operand
-    return operand
+    along k as cfg says."""
+    return _operand(w, cfg, cfg.format != "none")
 
 
 def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):

@@ -4,9 +4,9 @@ clipping, byte-level data ingestion, JSONL metrics, checkpointing.
 Master weights stay full-precision; quantization only ever touches the
 forward/backward views inside the quantized linear layers. Parameters are
 read-only values: each AdamW step replaces every parameter array with a new
-read-only one and never writes into the old, so a weight's memoized
-quantized operand (`qlinear.weight`) always belongs to the values it was
-made from. Weight decay is decoupled and skipped for normalization gains
+read-only one and never writes into the old, so the quantized operand a
+model keeps for a weight (`Model.operand`) always belongs to the values it
+was made from. Weight decay is decoupled and skipped for normalization gains
 (the architecture has no biases). Runs are deterministic given the seed.
 """
 
@@ -65,6 +65,12 @@ class TrainConfig:
         require_count("total_steps", self.total_steps)
         require_count("batch_tokens", self.batch_tokens)
         require_count("eval_interval", self.eval_interval, low=0)
+
+
+def held_out_windows(cfg: TrainConfig) -> int:
+    """How many of the corpus's first windows a run holds out for mid-run
+    eval_loss: EVAL_WINDOWS with eval_interval > 0, else none."""
+    return EVAL_WINDOWS if cfg.eval_interval else 0
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -247,7 +253,7 @@ def train(model: Model, cfg: TrainConfig, out_dir) -> list[dict]:
     """
     os.makedirs(out_dir, exist_ok=True)
     windows = ingest(cfg.data_path, model.cfg.max_seq_len)
-    held_out = EVAL_WINDOWS if cfg.eval_interval else 0
+    held_out = held_out_windows(cfg)
     eval_batch, windows = windows[:held_out], windows[held_out:]
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "model.ckpt")

@@ -205,7 +205,7 @@ class TestFormatFlag:
 
 class TestSeedPrecedence:
     @pytest.fixture()
-    def train_metrics(self, tmp_path, monkeypatch):
+    def train_metrics(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.txt", 16_000, seed=33)
         config = {
             "model": {"num_blocks": 1, "hidden_size": 32, "num_heads": 2, "max_seq_len": 32,
@@ -216,19 +216,12 @@ class TestSeedPrecedence:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
 
-        def run(out, *flags, env=None):
-            if env is None:
-                monkeypatch.delenv("QUEST_SEED", raising=False)
-            else:
-                monkeypatch.setenv("QUEST_SEED", env)
+        def run(out, *flags):
             assert main(["train", "--config", str(cfg_path),
                          "--out", str(tmp_path / out), *flags]) == 0
             return (tmp_path / out / "metrics.jsonl").read_text()
 
         return run
-
-    def test_env_beats_seed_flag(self, train_metrics):
-        assert train_metrics("env", "--seed", "5", env="99") == train_metrics("flag", "--seed", "99")
 
     def test_seed_flag_beats_config(self, train_metrics):
         config = train_metrics("config")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trustquant import qlinear as ql
 from trustquant.diagnostics import (
     alignment_sweep,
     cosine,
@@ -87,6 +88,25 @@ class TestGradAlignment:
         assert tags == {"quest", "quest-no-ht", "ste"}
         for r in records:
             assert r.xi is None or abs(r.xi) <= 1.0 + 1e-6
+
+    def test_sweep_projects_each_weight_once_per_model(self, monkeypatch):
+        model = tiny_model(QuantConfig(format="int4"))
+        weights = {p.shape for n, p in model.params.items()
+                   if n.startswith("block") and p.ndim == 2}
+        shapes = []
+
+        def counted(a, cfg, **kwargs):
+            shapes.append(a.shape)
+            return project(a, cfg, **kwargs)
+
+        monkeypatch.setattr(ql, "project", counted)
+        batches = [Rng(70 + i).integers(0, 256, (3, 10)) for i in range(3)]  # 27-row activations
+        projected = []
+        for count in (1, 3):
+            shapes.clear()
+            alignment_sweep(model, batches[:count])
+            projected.append(sum(shape in weights for shape in shapes))
+        assert projected == [3 * 2 * 14] * 2  # tags x (quantized, reference) x weights
 
     def test_estimator_config_tags(self):
         base = QuantConfig(format="int8")

@@ -473,57 +473,88 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "missing.ckpt")
 
 
-def _memo_arrays():
-    """Every array the weight memo holds."""
-    return [a for entry in ql._MEMO.values() for operand in entry.values() for a in operand]
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts the transforms and projections the quantized layer runs."""
+    counts = {"ht": 0, "project": 0}
+
+    def counted(name):
+        run = getattr(ql, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return run(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(ql, name, counted(name))
+
+    def take():
+        got = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        return got
+    return take
+
+
+def _projection_weights(model: Model) -> list[str]:
+    return [n for n, p in model.params.items() if n.startswith("block") and p.ndim == 2]
 
 
 class TestWeightMemo:
-    """A weight's quantized operand is computed once per read-only array."""
+    """A model transforms and projects a weight once per read-only array."""
 
     @pytest.mark.parametrize("quant", [
         QuantConfig(format="int4"), QuantConfig(format="fp4", group_size=16),
         QuantConfig(format="int4-sparse-2of4"), QuantConfig(format="int1", hadamard=False),
         QuantConfig(format="none"), QuantConfig(format="none", hadamard=False),
     ], ids=["int4", "fp4-g16", "sparse", "int1-no-ht", "none-ht", "none"])
-    def test_eval_losses_cold_warm_and_bypassed_are_identical(self, quant):
+    def test_eval_losses_cold_warm_and_bypassed_are_identical(self, quant, calls):
         model = build(tiny_cfg(num_blocks=1, hidden_size=32, quant=quant), Rng(30))
         windows = Rng(31).integers(0, 256, (40, 17))
-        cold = float(forward_loss(model, windows[:16])[0].value)  # fills the memo
+        # one block: 4 activations (attention and MLP inputs, wo's and
+        # w_down's) and 7 weights; each op runs on all of them or on none
+        every = {"ht": quant.hadamard, "project": quant.format != "none"}
+        cold_calls = {op: 4 + 7 if runs else 0 for op, runs in every.items()}
+        warm_calls = {op: 4 if runs else 0 for op, runs in every.items()}
+        cold = float(forward_loss(model, windows[:16])[0].value)
+        assert calls() == cold_calls
         warm = float(forward_loss(model, windows[:16])[0].value)
+        assert calls() == warm_calls
         copies = Model(model.cfg, {n: p.copy() for n, p in model.params.items()})
-        bypassed = float(forward_loss(copies, windows[:16])[0].value)
-        assert cold == warm == bypassed
+        bypassed = [float(forward_loss(copies, windows[:16])[0].value) for _ in range(2)]
+        assert calls() == {op: 2 * n for op, n in cold_calls.items()}  # writeable
+        assert cold == warm == bypassed[0] == bypassed[1]
         assert eval_loss(model, windows) == eval_loss(copies, windows)
-        assert not any(id(p) in ql._MEMO for p in copies.params.values())  # writeable
 
-    def test_one_entry_per_weight_key(self):
-        """align's weight_only reference pass reads the same weight operands;
-        a config that changes the weight side adds its own entry."""
+    def test_one_entry_per_weight_key(self, calls):
+        """Models that share parameter arrays keep their own operands, each
+        computed once under that model's config."""
         model = build(tiny_cfg(num_blocks=1, hidden_size=16,
                                quant=QuantConfig(format="int4")), Rng(32))
         tokens = Rng(33).integers(0, 256, (2, 9))
-        wq = model.params["block0.wq"]
-        forward_loss(model, tokens)
-        first = ql._MEMO[id(wq)][("int4", None, True, 1.0)]
-        for quant in [dataclasses.replace(model.cfg.quant, weight_only=True),
-                      dataclasses.replace(model.cfg.quant, estimator="ste")]:
-            _, _, trace = forward_loss(Model(dataclasses.replace(model.cfg, quant=quant),
-                                             model.params), tokens)
-            assert trace.layer_contexts["block0.wq"].w_hat_h is first[0]
-        assert len(ql._MEMO[id(wq)]) == 1
-        no_ht = dataclasses.replace(model.cfg.quant, hadamard=False)
-        forward_loss(Model(dataclasses.replace(model.cfg, quant=no_ht), model.params), tokens)
-        assert len(ql._MEMO[id(wq)]) == 2
-        assert all(not a.flags.writeable for a in _memo_arrays())
+        others = [Model(dataclasses.replace(model.cfg, quant=quant), model.params) for quant in
+                  [dataclasses.replace(model.cfg.quant, weight_only=True),
+                   dataclasses.replace(model.cfg.quant, hadamard=False)]]
+        first = forward_loss(model, tokens)[2].layer_contexts["block0.wq"].w_hat_h
+        assert calls()["project"] == 4 + 7
+        for other in others:
+            forward_loss(other, tokens)
+        assert calls()["project"] == 7 + 4 + 7  # weight_only projects no activation
+        for m in [model, *others]:
+            forward_loss(m, tokens)
+        assert calls()["project"] == 4 + 0 + 4
+        assert forward_loss(model, tokens)[2].layer_contexts["block0.wq"].w_hat_h is first
+        assert not first.flags.writeable
 
-    def test_views_bypass_the_memo(self):
-        w = build(tiny_cfg(num_blocks=1, hidden_size=16), Rng(34)).params["block0.wq"]
-        view = w[:, :]
-        cfg = QuantConfig(format="int4")
-        got = ql.weight(view, cfg)
-        assert not view.flags.writeable and id(view) not in ql._MEMO
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ql.weight(w, cfg)))
+    def test_views_bypass_the_memo(self, calls):
+        model = build(tiny_cfg(num_blocks=1, hidden_size=16,
+                               quant=QuantConfig(format="int4")), Rng(34))
+        views = Model(model.cfg, {n: p[:] for n, p in model.params.items()})
+        assert not any(p.flags.writeable or p.flags.owndata for p in views.params.values())
+        tokens = Rng(35).integers(0, 256, (2, 9))
+        losses = [float(forward_loss(m, tokens)[0].value) for m in (model, views, views)]
+        assert calls()["project"] == 3 * (4 + 7)
+        assert losses[0] == losses[1] == losses[2]
 
     def test_next_forward_after_adamw_equals_a_fresh_model(self):
         model = build(tiny_cfg(num_blocks=1, hidden_size=32,
@@ -557,30 +588,29 @@ class TestWeightMemo:
     def test_entries_go_with_their_model(self):
         model = build(tiny_cfg(num_blocks=1, hidden_size=16,
                                quant=QuantConfig(format="int4")), Rng(39))
-        forward_loss(model, Rng(40).integers(0, 256, (2, 9)))
-        ids = {id(p) for p in model.params.values()}
-        held = [weakref.ref(a) for p in model.params.values()
-                for operand in ql._MEMO.get(id(p), {}).values() for a in operand]
-        assert len(held) == 2 * 7
-        del model
+        contexts = forward_loss(model, Rng(40).integers(0, 256, (2, 9)))[2].layer_contexts
+        held = [weakref.ref(p) for p in model.params.values()]
+        held += [weakref.ref(a) for ctx in contexts.values() for a in (ctx.w_hat_h, ctx.mask_w)]
+        assert len(held) == len(model.params) + 2 * 7
+        del model, contexts
         gc.collect()
-        assert not ids & set(ql._MEMO)
         assert all(ref() is None for ref in held)
 
     @pytest.mark.parametrize("hadamard", [True, False])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_memo_never_holds_a_parameter(self, fmt, hadamard):
-        """Holding an operand that is the weight itself kept every step's
-        parameters alive; the replaced arrays must be freed."""
+        """The next forward after an update frees the replaced parameters
+        and the operands made from them."""
         model = build(tiny_cfg(num_blocks=1, hidden_size=16,
                                quant=QuantConfig(format=fmt, hadamard=hadamard)), Rng(41))
         tokens = Rng(42).integers(0, 256, (2, 9))
-        first = [weakref.ref(p) for p in model.params.values()]
         tcfg = TrainConfig(peak_lr=1e-3, total_steps=3, batch_tokens=16)
         state = AdamWState()
         for _ in range(2):
+            replaced = [weakref.ref(p) for p in model.params.values()]
+            replaced += [weakref.ref(a) for name in _projection_weights(model)
+                         for a in model.operand(name)]
             train_step(model, tokens, state, 1e-3, tcfg)
-            for a in _memo_arrays():
-                assert not any(np.shares_memory(a, p) for p in model.params.values())
-        gc.collect()
-        assert all(ref() is None for ref in first)
+            forward_loss(model, tokens)
+            gc.collect()
+            assert all(ref() is None for ref in replaced)

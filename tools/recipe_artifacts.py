@@ -73,6 +73,7 @@ def main(argv=None) -> int:
         return 2
     checkout, out = (os.path.abspath(a) for a in args)
     os.makedirs(out, exist_ok=True)
+    # older checkouts' CLIs let QUEST_SEED override --seed, so it stays unset
     env = {k: v for k, v in os.environ.items() if k != "QUEST_SEED"}
     env.update(PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"),
                                            os.path.join(checkout, "tests")]),
