@@ -175,7 +175,8 @@ def build(cfg: ModelConfig, rng: Rng) -> Model:
             params[name] = np.ones(shape, dtype=F32)
         else:
             std = residual_std if name.endswith(("wo", "w_down")) else 0.02
-            params[name] = rng.normal(shape, dtype=F32) * F32(std)
+            params[name] = rng.normal(shape, dtype=F32)
+            params[name] *= F32(std)
         params[name].flags.writeable = False
     return Model(cfg, params)
 

@@ -22,6 +22,13 @@ A weight's side, (w_hat_h, mask_w) from `weight(w, cfg)`, depends on w and
 cfg alone; a caller that runs one weight many times can compute it once and
 pass it back in (`model.Model.operand` does).
 
+A projected operand of more than TILE elements (2^17, 512 KB of float32) is
+transformed, projected and trust-masked one row tile at a time, so each
+tile's buffers stay in L2, and the tiles are written into one preallocated
+(values, mask) pair. Scale groups, HT blocks, 2:4 groups and the NaN and
+zero-RMS handling all lie along k, so the bits equal the whole-array result.
+An operand that fits in one tile takes the whole-array path and no copy.
+
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
 The STE variant forces both masks to all-true. Masks are saved from the
@@ -37,6 +44,10 @@ import numpy as np
 from .autodiff import Node
 from .hadamard import ht, iht
 from .quantizer import QuantConfig, project
+
+# elements in one row tile of a projected operand: 512 KB of float32, so the
+# tile's transform and projection buffers stay in a 2 MB L2
+TILE = 1 << 17
 
 
 @dataclass
@@ -82,12 +93,27 @@ def weight(w: np.ndarray, cfg: QuantConfig):
 
 def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
     """(grid values, trust mask) of an operand, transformed along k when cfg
-    says so: projected, or passed as is with a read-only all-true mask."""
-    if cfg.hadamard:
-        a = ht(a)
+    says so: projected, in row tiles past TILE elements, or passed as is with
+    a read-only all-true mask."""
     if not projected:
-        return a, np.broadcast_to(True, a.shape)
-    p = project(a, cfg)
+        return (ht(a) if cfg.hadamard else a), np.broadcast_to(True, a.shape)
+    if a.size <= TILE:
+        return _projected(a, cfg)
+    rows = a.reshape(-1, a.shape[-1])
+    # numpy multiplies a single row by gemv, whose float64 bits differ from
+    # gemm's: a tile holds at least two rows, and a lone last row joins the
+    # tile before it
+    bounds = [*range(0, len(rows) - 1, max(2, TILE // rows.shape[1])), len(rows)]
+    if len(bounds) <= 2:
+        return _projected(a, cfg)
+    values, mask = np.empty(rows.shape, a.dtype), np.empty(rows.shape, bool)
+    for start, stop in zip(bounds, bounds[1:]):
+        values[start:stop], mask[start:stop] = _projected(rows[start:stop], cfg)
+    return values.reshape(a.shape), mask.reshape(a.shape)
+
+
+def _projected(a: np.ndarray, cfg: QuantConfig):
+    p = project(ht(a) if cfg.hadamard else a, cfg)
     return p.values, p.trust_mask
 
 

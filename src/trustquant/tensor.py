@@ -49,13 +49,20 @@ def require_axis(x: np.ndarray, what: str) -> None:
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
+# Box-Muller pairs per chunk of `Rng.normal`: its few 8-byte buffers of 2^14
+# entries (128 KB each) stay in a 2 MB L2
+_PAIRS = 1 << 14
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    z = x * _SM64_GAMMA + _SM64_GAMMA  # counter 0 maps through one gamma step
-    z = (z ^ (z >> np.uint64(30))) * _SM64_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_M2
-    return z ^ (z >> np.uint64(31))
+def _splitmix64(z: np.ndarray) -> None:
+    """Replace each uint64 in z with its splitmix64 output."""
+    t = np.empty_like(z)
+    z *= _SM64_GAMMA  # counter 0 maps through one gamma step
+    z += _SM64_GAMMA
+    for shift, mult in ((30, _SM64_M1), (27, _SM64_M2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=t)
 
 
 class Rng:
@@ -70,29 +77,55 @@ class Rng:
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = np.uint64(0)
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(int(self.counter), int(self.counter) + n, dtype=np.uint64)
-        self.counter = np.uint64(int(self.counter) + n)
+    def _unit(self, start: int, n: int) -> np.ndarray:
+        """float64 in [0, 1) from the 53 high bits of the words at counters
+        start .. start + n - 1; the counter does not move."""
+        z = np.arange(start, start + n, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _splitmix64(idx ^ (self.seed * _SM64_M2))
+            z ^= self.seed * _SM64_M2
+        _splitmix64(z)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
+
+    def _advance(self, n: int) -> int:
+        """The counter before a draw of n words, which moves it past them."""
+        start = int(self.counter)
+        self.counter = np.uint64(start + n)
+        return start
 
     def uniform(self, shape=()) -> np.ndarray:
         """i.i.d. uniforms in [0, 1), float64 (53 mantissa bits of the word)."""
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u = self._unit(self._advance(n), n)
         return u.reshape(shape) if shape else u[0]
 
     def normal(self, shape=(), dtype=F32) -> np.ndarray:
-        """i.i.d. standard normals via the Box-Muller transform."""
+        """i.i.d. standard normals via the Box-Muller transform.
+
+        Pair j takes words j and half + j of the draw (half = ceil(n/2)) and
+        gives output j = r cos(theta) and, if it exists, half + j = r sin(theta),
+        rounded once from float64 into dtype. Pairs run in chunks of _PAIRS.
+        """
         n = int(np.prod(shape)) if shape else 1
         half = (n + 1) // 2
-        u1 = 1.0 - (self._raw(half) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u2 = (self._raw(half) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        out = z.astype(dtype)
-        return out.reshape(shape) if shape else out[0]
+        start = self._advance(2 * half)
+        out = np.empty(shape, dtype=dtype)
+        flat = out.reshape(-1)
+        for a in range(0, half, _PAIRS):
+            b = min(a + _PAIRS, half)
+            r = self._unit(start + a, b - a)
+            np.subtract(1.0, r, out=r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta = self._unit(start + half + a, b - a)
+            theta *= 2.0 * np.pi
+            np.multiply(r, np.cos(theta), out=flat[a:b])
+            m = min(b, n - half) - a  # the last pair of an odd n has no sine
+            np.multiply(r[:m], np.sin(theta[:m], out=theta[:m]), out=flat[half + a:half + a + m])
+        return out if shape else out[()]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of a uniform draw)."""

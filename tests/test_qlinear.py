@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +112,81 @@ def test_forward_matches_frozen_oracle(fmt, hadamard, weight_only, dtype):
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
     assert ctx.hadamard is want.hadamard
+
+
+def untiled_operand(a, cfg):
+    """An operand as `qlinear` computed it before row tiles: the transform
+    and the projection each on the whole array."""
+    a_h = ht(a) if cfg.hadamard else a
+    if cfg.format == "none":
+        return a_h, np.broadcast_to(True, a.shape)
+    p = project(a_h, cfg)
+    return p.values, p.trust_mask
+
+
+class TestRowTiles:
+    """A projected operand of more than `qlinear.TILE` elements runs a row
+    tile at a time, with the bits of the whole-array transform and projection."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        monkeypatch.setattr(ql, "project", lambda a, cfg: calls.append(a.shape) or project(a, cfg))
+        return calls
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_tiles_match_the_untiled_operand(self, fmt, monkeypatch):
+        calls = self._counted(monkeypatch)
+        rng = np.random.default_rng(41)
+        for width, dtype, hadamard, group_size in itertools.product(
+                (640, 1792), (np.float32, np.float64), (False, True), (None, 16)):
+            monkeypatch.setattr(ql, "TILE", 3 * width + width // 2)  # 3 rows per tile
+            cfg = QuantConfig(format=fmt, hadamard=hadamard, group_size=group_size)
+            # one row, tile - 1, tile, tile + 1 (a lone last row joins the tile
+            # before it), several tiles with that lone row, several with a short tail
+            for n, tiles in ((1, 1), (2, 1), (3, 1), (4, 1), (10, 3), (11, 4)):
+                a = (rng.standard_normal((n, width)) * 3).astype(dtype)
+                if n > 3:  # the rows either side of the first tile boundary
+                    a[2] = 0.0
+                    a[3, 5] = np.nan
+                want = untiled_operand(a, cfg)
+                for side in (ql.activation, ql.weight):
+                    calls.clear()
+                    got = side(a, cfg)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.shape == w.shape
+                        assert g.tobytes() == w.tobytes(), (side.__name__, width, dtype,
+                                                            hadamard, group_size, n)
+                    assert len(calls) == (0 if fmt == "none" else tiles)
+                if n == 11:  # leading axes tile as their flattened rows
+                    got3 = ql.activation(a.reshape(1, n, width), cfg)
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got3, want))
+
+    def test_wide_eval_activation_matches_the_untiled_operand(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        cfg = QuantConfig(format="int4")
+        a = np.random.default_rng(42).standard_normal((2032, 1792)).astype(np.float32)
+        step = ql.TILE // 1792
+        a[step - 1] = 0.0
+        a[step, 7] = np.nan
+        got = ql.activation(a, cfg)
+        assert step == 73 and len(calls) == 28  # 27 tiles of 73 rows and one of 61
+        for g, w in zip(got, untiled_operand(a, cfg)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert np.isnan(got[0][step]).all() and not got[0][step - 1].any()
+
+    def test_tiles_bound_the_temporary_memory(self):
+        # past its two outputs, the operand holds a few tiles, not full-size buffers
+        cfg = QuantConfig(format="int4")
+        a = np.random.default_rng(43).standard_normal((2032, 1792)).astype(np.float32)
+        ql.activation(a[:8], cfg)  # alpha* and the Sylvester blocks are cached
+        tracemalloc.start()
+        try:
+            values, mask = ql.activation(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes - mask.nbytes < 8 * ql.TILE * a.itemsize
 
 
 class TestBackward:

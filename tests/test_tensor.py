@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trustquant import tensor
 from trustquant.quantizer import QuantConfig, project
 from trustquant.tensor import Rng
 
@@ -80,3 +81,63 @@ class TestRng:
         assert a.dtype == np.float32
         assert np.array_equal(a, b)
 
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def frozen_unit(seed, start, count):
+    """The stream's uniforms at counters start .. start + count - 1, as
+    `Rng` computed them before it ran in chunks."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = (idx ^ (np.uint64(seed) * _M2)) * _GAMMA + _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _M1
+        z = (z ^ (z >> np.uint64(27))) * _M2
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def frozen_normal(seed, counter, shape, dtype):
+    """Whole-array Box-Muller as `Rng.normal` computed it before it ran in
+    chunks: (values, counter after the draw)."""
+    n = int(np.prod(shape)) if shape else 1
+    half = (n + 1) // 2
+    u1 = 1.0 - frozen_unit(seed, counter, half)
+    u2 = frozen_unit(seed, counter + half, half)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].astype(dtype)
+    return (out.reshape(shape) if shape else out[0]), counter + 2 * half
+
+
+class TestNormalChunks:
+    """`Rng.normal` runs Box-Muller in chunks of `tensor._PAIRS` pairs; it
+    gives the whole-array draw's bits and advances the counter alike."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 64 - 1])
+    def test_bits_and_counter_match_the_whole_array_draw(self, seed, dtype):
+        c = tensor._PAIRS
+        shapes = [(), (1,), (7,), (3, 5), (c,), (c + 1,), (2 * c - 1,), (2 * c,),
+                  (2 * c + 1,), (2 * c + 2,), (4 * c + 3,), (0,), (1792, 640)]
+        rng = Rng(seed)
+        for shape in shapes:  # one stream, so each draw starts where the last ended
+            want, counter = frozen_normal(seed, int(rng.counter), shape, dtype)
+            got = rng.normal(shape, dtype=dtype)
+            assert type(got) is type(want), shape
+            assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), shape
+            assert not shape or got.flags.owndata, shape  # `Model.operand` keeps these
+            assert rng.counter == counter and isinstance(rng.counter, np.uint64), shape
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_uniform_continues_the_same_stream(self, seed):
+        rng = Rng(seed)
+        rng.normal((2 * tensor._PAIRS + 1,))
+        counter = int(rng.counter)
+        assert rng.uniform((5,)).tobytes() == frozen_unit(seed, counter, 5).tobytes()
+        assert rng.uniform() == frozen_unit(seed, counter + 5, 1)[0]
+        assert rng.counter == counter + 6
