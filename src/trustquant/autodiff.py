@@ -1,11 +1,18 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
 One tape per training step: build the graph forward, call backward once,
-discard. Nodes hold the forward value, parent refs, and a closure computing
-parent gradients from the upstream gradient. `Tape.record` is the public
-extension point used both by the built-in primitives below and by the
+discard. Nodes hold the forward value, its shape, parent refs, and a closure
+computing parent gradients from the upstream gradient. `Tape.record` is the
+public extension point used both by the built-in primitives below and by the
 quantized-linear op, whose backward is a gradient estimator rather than the
 true derivative.
+
+Each closure captures the arrays its backward reads and no backward reads a
+node's `.value`, so a node's value is needed only until its last forward
+reader has run. `Tape.release` drops it then: the node's `.value` becomes
+None and its `.shape` stays. Only intermediates are released, never a leaf,
+the loss, or a node the caller is handed; `model.forward_logits` lists its
+release points.
 
 Two ops fuse what would otherwise be a chain of primitives into one node
 with a hand-written backward: `causal_attention` (head split, rotary on q
@@ -35,11 +42,12 @@ class Node:
     # the tape backref is weak: a strong tape<->node cycle would keep every
     # forward intermediate alive until the cycle collector ran, which at one
     # ~100MB graph per training step exhausts memory long before it does
-    __slots__ = ("_tape", "value", "parents", "backward_fn", "grad")
+    __slots__ = ("_tape", "value", "shape", "parents", "backward_fn", "grad")
 
     def __init__(self, tape, value, parents, backward_fn):
         self._tape = weakref.ref(tape)
         self.value = value
+        self.shape = value.shape
         self.parents = parents
         self.backward_fn = backward_fn
         self.grad = None
@@ -48,17 +56,16 @@ class Node:
     def tape(self):
         return self._tape()
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class Tape:
     """Ordered record of operations; inputs of a node always precede it.
 
     Single-use: build the graph, call backward once, discard. backward
     releases each node's saved closure as it is consumed and detaches the
-    node list, so the step's intermediates free by reference counting.
+    node list. An array is freed once nothing references it: a node's value
+    lives as long as the node, so as long as any later node, closure or
+    caller that holds it, unless `release` drops it first. What a backward
+    reads lives in its closure until that backward has run.
     """
 
     def __init__(self):
@@ -79,6 +86,15 @@ class Tape:
         node = Node(self, np.asarray(value), tuple(parents), backward_fn)
         self.nodes.append(node)
         return node
+
+    def release(self, *nodes: Node) -> None:
+        """Drop the forward values of `nodes`, whose forward readers have all
+        run: each `.value` becomes None, `.shape` and the gradient stay. No
+        backward reads a `.value`, so backward is unchanged."""
+        for node in nodes:
+            if node.tape is not self:
+                raise ValueError("released node does not belong to this tape")
+            node.value = None
 
     def backward(self, loss: Node) -> None:
         """Reverse-topological accumulation of gradients into every node."""
@@ -188,11 +204,12 @@ def softmax(a: Node) -> Node:
 
 def embedding_gather(table: Node, ids: np.ndarray) -> Node:
     ids = np.asarray(ids)
+    dtype = table.value.dtype
 
     def backward(g):
         # one flat index per element, rows in id order: numpy's fast 1-D
         # ufunc.at path, adding in the same order as a row-wise scatter
-        out = np.zeros_like(table.value)
+        out = np.zeros(table.shape, dtype)
         width = out.shape[-1]
         flat = (ids.astype(np.intp).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         np.add.at(out.reshape(-1), flat, g.reshape(-1))
@@ -222,11 +239,12 @@ def rmsnorm(a: Node, gain: Node) -> Node:
     value = np.square(x)
     inv = 1.0 / np.sqrt(np.mean(value, axis=-1, keepdims=True) + RMSNORM_EPS)
     np.multiply(x, inv, out=value)  # x normalized, then scaled by the gain
-    value *= gain.value
+    gain_value = gain.value
+    value *= gain_value
 
     def backward(g):
         # dx = inv * (g * gain) - (inv ** 3) * x * (dot / n), in that order, in two buffers
-        dx = g * gain.value
+        dx = g * gain_value
         t = dx * x
         dot = t.sum(axis=-1, keepdims=True)
         np.multiply(inv ** 3, x, out=t)
@@ -235,7 +253,7 @@ def rmsnorm(a: Node, gain: Node) -> Node:
         dx -= t
         t = np.multiply(x, inv, out=t)  # x normalized, recomputed
         t *= g
-        dgain = t.reshape(-1, n).sum(axis=0).astype(gain.value.dtype)
+        dgain = t.reshape(-1, n).sum(axis=0).astype(gain_value.dtype)
         return dx, dgain
 
     return a.tape.record(value, (a, gain), backward)
@@ -264,7 +282,7 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
     for node in (k, v):
         if node.shape != q.shape:
             raise ValueError(f"attention shape mismatch {q.shape} vs {node.shape}")
-    batch, seq, h = q.shape
+    batch, seq, h = shape = q.shape  # the closures read shape, not q
     half = cos.shape[-1]
     d = 2 * half
     if cos.shape != (seq, half) or sin.shape != cos.shape or h % d:
@@ -277,7 +295,7 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
         return np.ascontiguousarray(x).reshape(batch, seq, heads, d).transpose(0, 2, 1, 3)
 
     def merged():  # an empty (B, S, h) array and its (B, heads, S, d) view
-        out = np.empty(q.shape, dtype)
+        out = np.empty(shape, dtype)
         return out, split(out)
 
     p = np.empty((batch, heads, seq, seq), dtype)  # scores, then the probabilities in place
@@ -286,7 +304,7 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
     # score loop, and after the backward's), where it is large enough (seq >= d),
     # so the rotations add no buffer to the step's peak
     def scratch():
-        return p.reshape(-1)[:q.value.size].reshape(q.shape) if seq >= d else np.empty(q.shape, dtype)
+        return p.reshape(-1)[:batch * seq * h].reshape(shape) if seq >= d else np.empty(shape, dtype)
 
     (q_rot, qr), (k_rot, kr) = merged(), merged()  # rotated q and k, and their head views
     _rotate(q.value, q_rot, cos, sin, scratch())

@@ -46,8 +46,10 @@ def _sylvester(f: int, dtype: np.dtype) -> np.ndarray:
 
 def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
     """Write the HT of `src` over its power-of-two last axis into `dst`; both
-    may be strided. The work array is laid out (m/f, *rows, f), so after the
-    first pass, which reads `src` in place, each pass is contiguous GEMMs."""
+    may be strided, and dst may be src: the first pass reads all of src
+    before the last one writes dst. The work array is laid out
+    (m/f, *rows, f), so after the first pass, which reads `src` in place,
+    each pass is contiguous GEMMs."""
     lead, m = src.shape[:-1], src.shape[-1]
     *outer, f = _factors(m)
     cur = np.matmul(np.moveaxis(src.reshape(lead + (m // f, f)), -2, 0), _sylvester(f, src.dtype))
@@ -59,19 +61,37 @@ def _transform_block(src: np.ndarray, dst: np.ndarray) -> None:
                 src.dtype.type(1.0 / np.sqrt(m)), out=dst.reshape(lead + (m // f, f)))
 
 
-def ht(x: np.ndarray) -> np.ndarray:
-    """Apply the orthonormal Hadamard transform along the last axis."""
+def ht(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the orthonormal Hadamard transform along the last axis, into
+    `out` when given: an array of x's shape and dtype, which may be x."""
     x = np.asarray(x)
     require_float(x, "Hadamard transform")
     require_axis(x, "Hadamard transform")
-    blocks = _blocks(x.shape[-1])
-    out = np.empty(x.shape, dtype=x.dtype)
-    for start, b in zip(np.cumsum((0,) + blocks), blocks):
-        _transform_block(x[..., start:start + b], out[..., start:start + b])
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif out.shape != x.shape or out.dtype != x.dtype:
+        raise ValueError(f"Hadamard transform output is {out.dtype} {out.shape}, "
+                         f"input {x.dtype} {x.shape}")
+    n = x.shape[-1]
+    if x.size == n:
+        # numpy multiplies a single row by gemv, whose float64 bits differ
+        # from gemm's: the row runs as two copies of itself, as in a batch
+        pair = np.repeat(x.reshape(1, n), 2, axis=0)
+        _transform(pair, pair)
+        np.copyto(out, pair[0].reshape(x.shape))
+    else:
+        _transform(x, out)
     return out
 
 
-def iht(x: np.ndarray) -> np.ndarray:
+def _transform(src: np.ndarray, dst: np.ndarray) -> None:
+    """Write the HT of `src` into `dst` block by block; dst may be src."""
+    blocks = _blocks(src.shape[-1])
+    for start, b in zip(np.cumsum((0,) + blocks), blocks):
+        _transform_block(src[..., start:start + b], dst[..., start:start + b])
+
+
+def iht(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse transform. The orthonormal Sylvester HT is an involution, so
     this equals ht; both names are part of the interface."""
-    return ht(x)
+    return ht(x, out)

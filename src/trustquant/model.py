@@ -23,6 +23,17 @@ and projects only activations after its first batch. `forward_logits` asks
 for every weight's operand before it computes the first activation, so the
 long-lived operands are allocated ahead of the pass's short-lived buffers.
 
+The forward keeps only what a backward reads. Each block releases
+(`ad.Tape.release`) the value of an intermediate once its last forward
+reader has run: the attention-norm output after the q, k and v projections,
+q and k after the attention, the attention output after the wo projection,
+o after the residual add, the MLP-norm output after the gate and up
+projections, the SwiGLU output after the down projection, and down after
+the second add. Their nodes stay on the tape with `.value` None. What stays
+alive is what the backward closures hold: the projected operands and trust
+masks, v, gate and up, the rotated q and k and the attention probabilities,
+the sigmoid of gate and the residual stream.
+
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
 `Model.params` order; zip's CRC-32 covers each member's payload.
@@ -214,13 +225,24 @@ def forward_logits(model: Model, tokens: np.ndarray):
     x = ad.embedding_gather(leaves["embedding"], tokens)  # (B, S, h)
     for b in range(cfg.num_blocks):
         p = f"block{b}."
-        q, k, v = proj(ad.rmsnorm(x, leaves[p + "attn_norm"]), p + "wq", p + "wk", p + "wv")
-        (o,) = proj(ad.causal_attention(q, k, v, cos, sin, scale), p + "wo")
+        normed = ad.rmsnorm(x, leaves[p + "attn_norm"])
+        q, k, v = proj(normed, p + "wq", p + "wk", p + "wv")
+        tape.release(normed)
+        attended = ad.causal_attention(q, k, v, cos, sin, scale)
+        tape.release(q, k)
+        (o,) = proj(attended, p + "wo")
+        tape.release(attended)
         x = ad.add(x, o)
+        tape.release(o)
 
-        gate, up = proj(ad.rmsnorm(x, leaves[p + "mlp_norm"]), p + "w_gate", p + "w_up")
-        (down,) = proj(ad.swiglu(gate, up), p + "w_down")
+        normed = ad.rmsnorm(x, leaves[p + "mlp_norm"])
+        gate, up = proj(normed, p + "w_gate", p + "w_up")
+        tape.release(normed)
+        mixed = ad.swiglu(gate, up)
+        (down,) = proj(mixed, p + "w_down")
+        tape.release(mixed)
         x = ad.add(x, down)
+        tape.release(down)
         trace.block_outputs.append(x)
 
     final = ad.rmsnorm(x, leaves["final_norm"])

@@ -28,6 +28,8 @@ tile's buffers stay in L2, and the tiles are written into one preallocated
 (values, mask) pair. Scale groups, HT blocks, 2:4 groups and the NaN and
 zero-RMS handling all lie along k, so the bits equal the whole-array result.
 An operand that fits in one tile takes the whole-array path and no copy.
+The backward's IHT runs in place on the masked gradients, on the same row
+tiles (`_tiles`), so it allocates no full-size transform buffers either.
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
@@ -100,16 +102,16 @@ def _operand(a: np.ndarray, cfg: QuantConfig, projected: bool):
     if a.size <= TILE:
         return _projected(a, cfg)
     rows = a.reshape(-1, a.shape[-1])
-    # numpy multiplies a single row by gemv, whose float64 bits differ from
-    # gemm's: a tile holds at least two rows, and a lone last row joins the
-    # tile before it
-    bounds = [*range(0, len(rows) - 1, max(2, TILE // rows.shape[1])), len(rows)]
-    if len(bounds) <= 2:
-        return _projected(a, cfg)
     values, mask = np.empty(rows.shape, a.dtype), np.empty(rows.shape, bool)
-    for start, stop in zip(bounds, bounds[1:]):
-        values[start:stop], mask[start:stop] = _projected(rows[start:stop], cfg)
+    for tile in _tiles(rows):
+        values[tile], mask[tile] = _projected(rows[tile], cfg)
     return values.reshape(a.shape), mask.reshape(a.shape)
+
+
+def _tiles(rows: np.ndarray):
+    """Row slices of a 2-D array, TILE elements each (at least one row)."""
+    n, step = len(rows), max(1, TILE // rows.shape[1])
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _projected(a: np.ndarray, cfg: QuantConfig):
@@ -130,9 +132,10 @@ def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):
     if masked:  # bool multiply zeroes masked coordinates exactly
         grad_x *= ctx.mask_x
         grad_w *= ctx.mask_w
-    if ctx.hadamard:
-        grad_x = iht(grad_x)
-        grad_w = iht(grad_w)
+    if ctx.hadamard:  # in place, a row tile at a time
+        for grad in (grad_x, grad_w):
+            for tile in _tiles(grad):
+                iht(grad[tile], out=grad[tile])
     return grad_x, grad_w
 
 
@@ -165,9 +168,11 @@ def qlinear(x: Node, ws, cfg: QuantConfig, w_operands=None):
 
 
 def _record(x: Node, w: Node, y: np.ndarray, ctx: QLinearContext, estimator):
-    def backward_fn(g):
-        grad_x, grad_w = estimator(ctx, g.reshape(y.shape))
-        return grad_x.reshape(x.shape), grad_w
+    y_shape, x_shape = y.shape, x.shape  # the backward reads shapes: y and x may be released
 
-    node = x.tape.record(y.reshape(x.shape[:-1] + y.shape[1:]), (x, w), backward_fn)
+    def backward_fn(g):
+        grad_x, grad_w = estimator(ctx, g.reshape(y_shape))
+        return grad_x.reshape(x_shape), grad_w
+
+    node = x.tape.record(y.reshape(x_shape[:-1] + y_shape[1:]), (x, w), backward_fn)
     return node, ctx

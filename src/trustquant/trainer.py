@@ -200,9 +200,9 @@ def eval_loss(model: Model, windows: np.ndarray) -> float:
     total, count = 0.0, 0
     for start in range(0, len(windows), EVAL_BATCH):
         batch = windows[start: start + EVAL_BATCH]
-        loss, _, _ = forward_loss(model, batch)
+        loss = float(forward_loss(model, batch)[0].value)  # the batch's graph is freed here
         tokens = batch.shape[0] * (batch.shape[1] - 1)
-        total += float(loss.value) * tokens
+        total += loss * tokens
         count += tokens
     return total / count
 

@@ -103,6 +103,22 @@ class TestTapeBasics:
         t.backward(ad.sum_all(y))
         assert np.array_equal(y.value, snapshot)
 
+    def test_release_drops_the_value_and_keeps_the_shape(self):
+        t = ad.Tape()
+        x = t.leaf(np.arange(6, dtype=np.float64).reshape(2, 3))
+        y = ad.mul(x, 2.0)
+        loss = ad.sum_all(y)
+        t.release(y)
+        assert y.value is None and y.shape == (2, 3)
+        t.backward(loss)
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_release_of_another_tapes_node_rejected(self):
+        node = ad.Tape().leaf(np.ones(2))
+        with pytest.raises(ValueError, match="does not belong"):
+            ad.Tape().release(node)
+        assert node.value is not None
+
 
 class TestDenseNetFiniteDifference:
     def test_three_layer_net(self):

@@ -130,6 +130,35 @@ class TestFactoredOracle:
         with pytest.raises(TypeError, match="int64"):
             fn(np.arange(8, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [128, 512, 640, 1792])
+    def test_one_row_has_its_bits_in_a_batch(self, n, dtype):
+        # numpy multiplies a single row by gemv, whose float64 bits differ from gemm's
+        x = np.random.default_rng(n).standard_normal((8, n)).astype(dtype)
+        batch = ht(x)
+        for i in range(len(x)):
+            assert ht(x[i:i + 1]).tobytes() == batch[i:i + 1].tobytes(), i
+            assert ht(x[i]).tobytes() == batch[i].tobytes(), i
+
+    @pytest.mark.parametrize("fn", [ht, iht])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, n", [(1, 640), (5, 128), (3, 1792)])
+    def test_out_may_be_the_input(self, fn, dtype, rows, n):
+        x = np.random.default_rng(rows).standard_normal((rows, n)).astype(dtype)
+        want = fn(x)
+        out = np.empty_like(x)
+        assert fn(x, out=out) is out and out.tobytes() == want.tobytes()
+        first = x[0].copy()
+        tile = x[1:] if rows > 1 else x  # a row slice, as qlinear's backward passes
+        assert fn(tile, out=tile) is tile
+        assert tile.tobytes() == want[len(x) - len(tile):].tobytes()
+        assert rows == 1 or x[0].tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("shape, dtype", [((4, 64), np.float64), ((4, 32), np.float32)])
+    def test_out_of_another_shape_or_dtype_rejected(self, shape, dtype):
+        with pytest.raises(ValueError, match="output"):
+            ht(np.ones((4, 32)), out=np.empty(shape, dtype))
+
 
 class TestProperties:
     @given(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 300),

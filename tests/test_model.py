@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustquant import autodiff as ad
 from trustquant import qlinear as ql
 from trustquant.diagnostics import mask_fraction
 from trustquant.model import (
@@ -203,6 +204,50 @@ class TestForward:
         model = build(tiny_cfg(quant=QuantConfig(format="int4")), Rng(20))
         _, tape, _ = forward_loss(model, Rng(21).integers(0, 256, (2, 17)))
         assert len(tape.nodes) == 54
+
+
+class TestRelease:
+    """`forward_logits` drops each intermediate's value once its last forward
+    reader has run, and keeps what the backward reads."""
+
+    @pytest.mark.parametrize("quant", [QuantConfig(format="int4"),
+                                       QuantConfig(format="none", hadamard=True)])
+    def test_released_values_are_freed_and_backward_is_unchanged(self, quant, monkeypatch):
+        model = build(tiny_cfg(quant=quant), Rng(22))
+        tokens = Rng(23).integers(0, 256, (2, 17))
+        with monkeypatch.context() as patch:  # the same forward, nothing released
+            patch.setattr(ad.Tape, "release", lambda tape, *nodes: None)
+            kept, tape_kept, trace_kept = forward_loss(model, tokens)
+        assert all(node.value is not None for node in tape_kept.nodes)
+
+        recorded = []  # (node, its shape, weakrefs to its value and the value's base)
+        record = ad.Tape.record
+
+        def recording(tape, value, parents, backward_fn):
+            node = record(tape, value, parents, backward_fn)
+            arrays = [node.value] + ([node.value.base] if node.value.base is not None else [])
+            recorded.append((node, node.shape, [weakref.ref(a) for a in arrays]))
+            return node
+
+        monkeypatch.setattr(ad.Tape, "record", recording)
+        loss, tape, trace = forward_loss(model, tokens)
+        gc.collect()
+        released = [(node, shape, refs) for node, shape, refs in recorded if node.value is None]
+        assert len(released) == 8 * model.cfg.num_blocks
+        for node, shape, refs in released:
+            assert node.shape == shape
+            assert all(ref() is None for ref in refs), shape
+        outputs = {id(node) for node in trace.block_outputs}
+        assert not any(id(node) in outputs for node, _, _ in released)
+        for node, shape, refs in recorded:
+            if node.value is not None:
+                assert all(ref() is not None for ref in refs) and node.shape == shape
+
+        tape.backward(loss)
+        tape_kept.backward(kept)
+        assert loss.value.tobytes() == kept.value.tobytes()
+        for name, leaf in trace.param_leaves.items():
+            assert leaf.grad.tobytes() == trace_kept.param_leaves[name].grad.tobytes(), name
 
 
 class TestGradients:

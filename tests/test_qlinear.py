@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trustquant import autodiff as ad
 from trustquant import qlinear as ql
-from trustquant.hadamard import ht
+from trustquant.hadamard import ht, iht
 from trustquant.quantizer import FORMATS, QuantConfig, project
 
 
@@ -142,9 +142,10 @@ class TestRowTiles:
                 (640, 1792), (np.float32, np.float64), (False, True), (None, 16)):
             monkeypatch.setattr(ql, "TILE", 3 * width + width // 2)  # 3 rows per tile
             cfg = QuantConfig(format=fmt, hadamard=hadamard, group_size=group_size)
-            # one row, tile - 1, tile, tile + 1 (a lone last row joins the tile
-            # before it), several tiles with that lone row, several with a short tail
-            for n, tiles in ((1, 1), (2, 1), (3, 1), (4, 1), (10, 3), (11, 4)):
+            # one row, tile - 1, tile, tile + 1 (a tile and a lone last row, which
+            # `ht` runs as a batch), several tiles with that lone row, several with
+            # a short tail
+            for n, tiles in ((1, 1), (2, 1), (3, 1), (4, 2), (10, 4), (11, 4)):
                 a = (rng.standard_normal((n, width)) * 3).astype(dtype)
                 if n > 3:  # the rows either side of the first tile boundary
                     a[2] = 0.0
@@ -187,6 +188,25 @@ class TestRowTiles:
         finally:
             tracemalloc.stop()
         assert peak - values.nbytes - mask.nbytes < 8 * ql.TILE * a.itemsize
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [128, 640, 1792])
+    def test_backward_iht_in_tiles_matches_the_allocating_iht(self, k, dtype):
+        # grad_x runs as two tiles and a lone row, grad_w as one tile and a lone row
+        step = ql.TILE // k
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((2 * step + 1, k)).astype(dtype)
+        w = rng.standard_normal((step + 1, k)).astype(dtype)
+        _, ctx = ql.forward(x, w, QuantConfig(format="int4"))
+        gy = rng.standard_normal((len(x), len(w))).astype(dtype)
+        for estimator, masked in ((ql.backward, True), (ql.ste_backward, False)):
+            want_x, want_w = gy @ ctx.w_hat_h, gy.T @ ctx.x_hat_h
+            if masked:
+                want_x *= ctx.mask_x
+                want_w *= ctx.mask_w
+            got_x, got_w = estimator(ctx, gy)
+            assert got_x.tobytes() == iht(want_x).tobytes()
+            assert got_w.tobytes() == iht(want_w).tobytes()
 
 
 class TestBackward:

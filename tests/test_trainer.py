@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trustquant.quantizer import QuantConfig
 from trustquant.tensor import Rng
 from trustquant.trainer import (
     ADAM_EPS,
+    EVAL_BATCH,
     AdamWState,
     BatchStream,
     TrainConfig,
@@ -313,6 +315,21 @@ class TestTrainLoop:
         windows = ingest(tcfg.data_path, 32)
         loss = eval_loss(model, windows[:32])
         assert loss == pytest.approx(records[-1]["loss"], rel=0.15)
+
+
+def test_eval_loss_holds_one_batch_graph_at_a_time():
+    model = int4_model()
+    windows = Rng(8).integers(0, 256, (2 * EVAL_BATCH, 33))
+    eval_loss(model, windows[:EVAL_BATCH])  # alpha* and the weight operands, once
+    peaks = []
+    for n in (EVAL_BATCH, 2 * EVAL_BATCH):
+        tracemalloc.start()
+        try:
+            eval_loss(model, windows[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def int4_model(seed=3):
