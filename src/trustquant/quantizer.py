@@ -7,7 +7,9 @@ alpha / (2^b - 1). The FP4 grid is {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4,
 squared projection error of a standard normal, evaluated by composite
 Simpson integration and located by golden-section search, once per grid per
 process (`alpha_star`). That objective and `project` round through one
-function for every grid.
+function for every grid. A coordinate is trusted when its rounding error is
+within the trust threshold; on these grids that is |x_norm| <= alpha* + s*T,
+one compare on the normalized input (`trust_mask`).
 """
 
 from __future__ import annotations
@@ -94,24 +96,13 @@ class QuantConfig:
         return self.bits
 
 
-def quantize_uniform(x: np.ndarray, alpha: float, b: int) -> np.ndarray:
-    """Clip to [-alpha, alpha] and round to the 2^b-level mid-rise grid.
+def round_grid(x, alpha: float, key, with_codes: bool = False):
+    """Clip x to [-alpha, alpha] and round it onto the grid `key` (an INT
+    bit-width or "fp4") at clip scale alpha, in x's dtype.
 
-    Grid points are g_i = -alpha + 2*alpha*i/(2^b - 1), i = 0..2^b-1; ties
-    round toward +inf.
-    """
-    return _round_grid(x, alpha, b)[0]
-
-
-def quantize_uniform_codes(x: np.ndarray, alpha: float, b: int):
-    """As quantize_uniform, also returning the integer grid indices."""
-    return _round_grid(x, alpha, b, with_codes=True)
-
-
-def _round_grid(x, alpha: float, key, with_codes: bool = False):
-    """Round x onto the grid `key` (an INT bit-width or "fp4") at clip scale
-    alpha, in x's dtype. Returns (values, codes): int64 grid indices for an
-    INT grid on request, else None. INT grids round in one buffer."""
+    INT grid points are g_i = -alpha + 2*alpha*i/(2^b - 1), i = 0..2^b-1, and
+    ties round toward +inf. Returns (values, codes): int64 grid indices for
+    an INT grid on request, else None. INT grids round in one buffer."""
     if key == "fp4":
         return round_fp4(x, alpha), None
     if not 1 <= key <= 8:
@@ -187,7 +178,7 @@ def gaussian_grid_mse(alpha: float, key) -> float:
     if n % 2:
         n += 1
     xi = np.linspace(-_XI_BOUND, _XI_BOUND, n + 1)
-    q = _round_grid(xi, alpha, key)[0]
+    q = round_grid(xi, alpha, key)[0]
     density = np.exp(-0.5 * xi * xi) / math.sqrt(2 * math.pi)
     integrand = density * np.square(xi - q)
     return float(integrand @ _simpson_weights(n + 1, 2 * _XI_BOUND / n))
@@ -232,7 +223,9 @@ class ProjectionResult:
     values: same shape as the input, exactly scale x (a grid point).
     scale: RMS * alpha* per group (shape: input with the last axis
         replaced by the group count).
-    trust_mask: True where |values - input| <= trust threshold.
+    trust_mask: True where the rounding error of input / RMS is within the
+        trust threshold: |input / RMS| <= alpha* + s*T, except at 2:4-dropped
+        entries (`trust_mask`).
     sparsity_mask: keep mask for the 2:4 format, else None.
     codes: integer grid indices for INT grids (for packing), else None.
     """
@@ -244,31 +237,27 @@ class ProjectionResult:
     codes: np.ndarray | None = None
 
 
-def trust_thresholds(x_norm: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Per-element trust threshold in normalized coordinates, in x_norm's dtype.
+def trust_mask(x_norm: np.ndarray, cfg: QuantConfig, keep: np.ndarray | None) -> np.ndarray:
+    """Trust mask of x_norm's projection, in normalized coordinates.
 
-    T = alpha/(2^b - 1) inside [-alpha, alpha], s * that beyond; the FP4 grid
-    uses its largest half-interval alpha/6 in place of alpha/(2^b - 1). When
-    both agree (s = 1), T is a read-only broadcast of that one value.
+    The rule trusts a coordinate whose rounding error is at most T inside
+    [-alpha, alpha] and s * T beyond, T being the grid's largest
+    half-interval: alpha/(2^b - 1) on an INT grid, alpha/6 on FP4. The error
+    is at most T inside and |x| - alpha beyond, so the rule is
+    |x| <= alpha + s * T, one compare in x_norm's dtype. `keep` is the 2:4
+    keep mask (else None). A dropped entry rounds to 0, so its error is |x|:
+    it is trusted when |x| <= T (which lies inside alpha), or beyond alpha
+    when |x| <= s * T.
     """
-    x_norm = np.asarray(x_norm)
     alpha = alpha_star(cfg.grid_key)
-    if cfg.format == "fp4":
-        half = alpha / 6.0
-    else:
-        half = alpha / ((1 << cfg.bits) - 1)
-    inner, outer = x_norm.dtype.type(half), x_norm.dtype.type(cfg.trust_scale * half)
-    if inner == outer:
-        return np.broadcast_to(inner, x_norm.shape)
-    return np.where(np.abs(x_norm) <= alpha, inner, outer)
-
-
-def trust_mask(x_norm: np.ndarray, x_hat_norm: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """mask[k] = |x_hat_k - x_k| <= T_k, in normalized coordinates."""
-    if x_norm.shape != x_hat_norm.shape:
-        raise ValueError(f"shape mismatch {x_norm.shape} vs {x_hat_norm.shape}")
-    residual = np.subtract(x_hat_norm, x_norm)
-    return np.abs(residual, out=residual) <= trust_thresholds(x_norm, cfg)
+    half = alpha / 6.0 if cfg.format == "fp4" else alpha / ((1 << cfg.bits) - 1)
+    cast = x_norm.dtype.type
+    inner, outer = cast(half), cast(cfg.trust_scale * half)
+    mag = np.abs(x_norm)
+    mask = mag <= cast(alpha + cfg.trust_scale * half)
+    if keep is not None:
+        mask &= keep | (mag <= inner) | ((mag > alpha) & (mag <= outer))
+    return mask
 
 
 def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> ProjectionResult:
@@ -303,17 +292,15 @@ def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> Pro
     sparsity_mask = codes = None
     if cfg.format == "int4-sparse-2of4":
         sparse_norm, sparsity_mask = sparsify_2of4(x_norm)
-        q = _round_grid(sparse_norm, alpha, 4)[0]
+        q = round_grid(sparse_norm, alpha, 4)[0]
         np.copyto(q, 0.0, where=~sparsity_mask)
     else:
-        q, codes = _round_grid(x_norm, alpha, cfg.grid_key, with_codes)
+        q, codes = round_grid(x_norm, alpha, cfg.grid_key, with_codes)
 
-    mask = trust_mask(x_norm, q, cfg)
+    mask = trust_mask(x_norm, cfg, sparsity_mask)
     q *= safe_r
-    if (r == 0).any():  # zero-RMS groups: exact zeros, full trust
-        zero_group = np.broadcast_to(r == 0, q.shape)
-        np.copyto(q, 0.0, where=zero_group)
-        np.copyto(mask, True, where=zero_group)
+    if (r == 0).any():  # zero-RMS groups: exact zeros
+        np.copyto(q, 0.0, where=r == 0)
     if nonfinite.any():
         np.copyto(q, np.nan, where=nonfinite)
 

@@ -26,7 +26,6 @@ from trustquant.quantizer import (
     alpha_star,
     gaussian_grid_mse,
     project,
-    quantize_uniform,
     sparsify_2of4,
     trust_mask,
 )

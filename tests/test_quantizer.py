@@ -14,14 +14,13 @@ from trustquant.quantizer import (
     alpha_star,
     gaussian_grid_mse,
     project,
-    quantize_uniform,
-    quantize_uniform_codes,
     round_fp4,
+    round_grid,
     solve_alpha_star,
     sparsify_2of4,
     trust_mask,
-    trust_thresholds,
 )
+from trustquant.tensor import Rng
 
 # alpha* and MSE values frozen from the exact per-cell oracle below
 # (closed-form Gaussian integrals over quantization cells, minimize_scalar
@@ -77,20 +76,20 @@ def int_grid(alpha, b):
 
 class TestQuantizeUniform:
     def test_b2_nearest(self):
-        assert quantize_uniform(np.array([0.4]), 1.0, 2)[0] == pytest.approx(1 / 3)
+        assert round_grid(np.array([0.4]), 1.0, 2)[0][0] == pytest.approx(1 / 3)
 
     def test_b1_sign_grid(self):
-        out = quantize_uniform(np.array([-0.2, 2.0]), 1.0, 1)
+        out = round_grid(np.array([-0.2, 2.0]), 1.0, 1)[0]
         assert out[0] == -1.0 and out[1] == 1.0
 
     def test_tie_rounds_toward_plus_inf(self):
         # 0 sits exactly between -1/3 and 1/3 on the b=2 grid
-        assert quantize_uniform(np.array([0.0]), 1.0, 2)[0] == pytest.approx(1 / 3)
+        assert round_grid(np.array([0.0]), 1.0, 2)[0][0] == pytest.approx(1 / 3)
 
     def test_matches_exhaustive_nearest_point_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(4096)
-        got = quantize_uniform(x, 1.0, 4)
+        got = round_grid(x, 1.0, 4)[0]
         grid = int_grid(1.0, 4)
         clipped = np.clip(x, -1.0, 1.0)
         dist = np.abs(clipped[:, None] - grid[None, :])
@@ -102,9 +101,9 @@ class TestQuantizeUniform:
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
-            quantize_uniform(np.ones(3), 1.0, 9)
+            round_grid(np.ones(3), 1.0, 9)
         with pytest.raises(ValueError):
-            quantize_uniform(np.ones(3), 1.0, 0)
+            round_grid(np.ones(3), 1.0, 0)
 
     @pytest.mark.parametrize("dtype, alpha", [
         (np.float32, 3e38), (np.float32, 1.8e38), (np.float64, 1e308),
@@ -113,16 +112,16 @@ class TestQuantizeUniform:
     def test_alpha_with_overflowing_span_rejected(self, dtype, alpha):
         # a span 2*alpha of inf once made every code -2^63
         with pytest.raises(ValueError, match="alpha must be positive with 2\\*alpha finite"):
-            quantize_uniform_codes(np.array([3e38, 1.5e38], dtype=dtype), alpha, 4)
+            round_grid(np.array([3e38, 1.5e38], dtype=dtype), alpha, 4, with_codes=True)
 
     def test_largest_alpha_keeps_codes_in_range(self):
         alpha = float(np.finfo(np.float32).max) / 2
-        values, codes = quantize_uniform_codes(np.float32([3e38, 1.5e38, -3e38]), alpha, 4)
+        values, codes = round_grid(np.float32([3e38, 1.5e38, -3e38]), alpha, 4, with_codes=True)
         assert codes.tolist() == [15, 14, 0] and np.isfinite(values).all()
 
     def test_codes_consistent(self):
         x = np.linspace(-2, 2, 101)
-        values, codes = quantize_uniform_codes(x, 1.5, 3)
+        values, codes = round_grid(x, 1.5, 3, with_codes=True)
         levels = 7
         assert codes.min() >= 0 and codes.max() <= levels
         rebuilt = -1.5 + codes * (2 * 1.5 / levels)
@@ -130,31 +129,31 @@ class TestQuantizeUniform:
 
     def test_zero_d_input_gives_the_grid_value(self):
         # grid {-1, -1/3, 1/3, 1}: 0.4 rounds to 1/3, index 2, as round_fp4 does for 0-d
-        assert quantize_uniform(np.array(0.4), 1.0, 2) == pytest.approx(1 / 3)
-        value, code = quantize_uniform_codes(np.array(0.4), 1.0, 2)
+        assert round_grid(np.array(0.4), 1.0, 2)[0] == pytest.approx(1 / 3)
+        value, code = round_grid(np.array(0.4), 1.0, 2, with_codes=True)
         assert value == pytest.approx(1 / 3) and code == 2
 
     @given(st.integers(min_value=1, max_value=8), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_idempotent_and_odd(self, b, alpha):
         x = np.random.default_rng(b).standard_normal(257) * 2
-        once = quantize_uniform(x, alpha, b)
-        assert np.array_equal(quantize_uniform(once, alpha, b), once)
-        assert np.allclose(quantize_uniform(-x, alpha, b), -once)
+        once = round_grid(x, alpha, b)[0]
+        assert np.array_equal(round_grid(once, alpha, b)[0], once)
+        assert np.allclose(round_grid(-x, alpha, b)[0], -once)
 
 
 @given(st.data(), st.integers(1, 8), st.sampled_from([np.float32, np.float64]),
        st.one_of(st.floats(1e-30, 1e30), st.floats(0.05, 12.0)))
 @settings(max_examples=200, deadline=None)
 def test_int_rounding_matches_clipped_oracle(data, b, dtype, alpha):
-    # the oracle clips the rounded index to [0, 2^b - 1]; _round_grid needs
+    # the oracle clips the rounded index to [0, 2^b - 1]; round_grid needs
     # no such clip, since its input is clipped to [-alpha, alpha] first
     width = 32 if dtype == np.float32 else 64
     special = np.array([alpha, -alpha, np.nextafter(alpha, 0), 0.0, np.inf, -np.inf, np.nan])
     drawn = data.draw(hnp.arrays(dtype, st.integers(0, 32), elements=st.floats(width=width)))
     x = np.concatenate([special.astype(dtype), drawn])
     with np.errstate(invalid="ignore", over="ignore"):  # the NaN entry casts to a junk code
-        values, codes = quantize_uniform_codes(x, alpha, b)
+        values, codes = round_grid(x, alpha, b, with_codes=True)
         want_values, want_codes = reference_uniform_codes(x, alpha, b)
     real = ~np.isnan(x)
     assert values.dtype == dtype and np.array_equal(values, want_values, equal_nan=True)
@@ -278,7 +277,8 @@ class TestTrustMask:
         cfg = QuantConfig(format="int2")
         x = np.array([0.4 * alpha, 1.5 * alpha])
         xh = np.array([alpha / 3, alpha])
-        mask = trust_mask(x, xh, cfg)
+        assert np.allclose(round_grid(x, alpha, 2)[0], xh)
+        mask = trust_mask(x, cfg, None)
         assert mask.tolist() == [True, False]
         assert abs(xh[0] - x[0]) <= t
         assert abs(xh[1] - x[1]) > t
@@ -286,14 +286,21 @@ class TestTrustMask:
     def test_outer_scale_widens_trust(self):
         alpha = alpha_star(1)
         x = np.array([alpha * 2.2])  # err = 1.2 alpha beyond the grid end
-        xh = np.array([alpha])
-        narrow = trust_mask(
-            x, xh, QuantConfig(format="int1", outer_trust_scale=1.0)
-        )
-        wide = trust_mask(
-            x, xh, QuantConfig(format="int1", outer_trust_scale=1.30)
-        )
+        narrow = trust_mask(x, QuantConfig(format="int1", outer_trust_scale=1.0), None)
+        wide = trust_mask(x, QuantConfig(format="int1", outer_trust_scale=1.30), None)
         assert not narrow[0] and wide[0]
+
+    def test_dropped_entry_error_is_its_magnitude(self):
+        # a 2:4-dropped entry rounds to 0: trusted when |x| <= T inside alpha
+        # and |x| <= s*T beyond, which needs s > 15 at 4 bits
+        alpha = alpha_star(4)
+        t = alpha / 15
+        x = np.array([0.5 * t, 2 * t, 1.1 * alpha, 1.05 * alpha])
+        keep = np.array([False, False, False, True])
+        narrow = trust_mask(x, QuantConfig(format="int4-sparse-2of4"), keep)
+        wide = trust_mask(x, QuantConfig(format="int4-sparse-2of4", outer_trust_scale=20.0), keep)
+        assert narrow.tolist() == [True, False, False, True]
+        assert wide.tolist() == [True, False, True, True]
 
     def test_one_bit_outer_scale_defaults(self):
         assert QuantConfig(format="int1", hadamard=True).trust_scale == 1.30
@@ -309,22 +316,15 @@ class TestTrustMask:
 
     def test_untrusted_fraction_matches_normal_tail(self):
         # untrusted iff |x| > alpha + T for the uniform grid at s=1
-        from trustquant.tensor import Rng
-
         cfg = QuantConfig(format="int4", hadamard=False)
         n = 1 << 18
         x = Rng(77).normal((n,), dtype=np.float64)
         alpha = alpha_star(4)
         t = alpha / 15
-        xh = quantize_uniform(x, alpha, 4)
-        mask = trust_mask(x, xh, cfg)
+        mask = trust_mask(x, cfg, None)
         frac = float(np.mean(~mask))
         expected = 2.0 * (1.0 - phi_cdf(alpha + t))
         assert frac == pytest.approx(expected, rel=0.2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            trust_mask(np.ones(3), np.ones(4), QuantConfig(format="int4"))
 
 
 class TestProject:
@@ -365,8 +365,6 @@ class TestProject:
         assert np.allclose(res.scale, want, rtol=1e-12)
 
     def test_gaussian_empirical_mse_matches_oracle(self):
-        from trustquant.tensor import Rng
-
         x = Rng(4242).normal((1, 4096), dtype=np.float64)
         res = project(x, QuantConfig(format="int4"))
         # compare in normalized coordinates (x/rms vs values/rms)
@@ -391,6 +389,37 @@ class TestProject:
         r = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True))
         x_norm = np.abs(x / r)
         assert np.all(x_norm[~res.trust_mask] > alpha_star(3))
+
+    def test_interior_always_trusted_float32(self):
+        # float32, where the rounded grid value of an interior coordinate can
+        # sit more than T from it; a 2:4-dropped entry rounds to 0 and may be
+        # untrusted inside alpha, so only kept entries count
+        x = Rng(3).normal((1024, 1024))
+        r = np.sqrt(np.mean(np.square(x, dtype=np.float64), axis=1, keepdims=True))
+        x_norm = np.abs(x / r)
+        wrong = {}
+        for fmt in PROJECTING:
+            cfg = QuantConfig(format=fmt)
+            res = project(x, cfg)
+            untrusted = ~res.trust_mask
+            if res.sparsity_mask is not None:
+                untrusted &= res.sparsity_mask
+            count = int((x_norm[untrusted] <= alpha_star(cfg.grid_key)).sum())
+            if count:
+                wrong[fmt] = count
+        assert not wrong, f"interior coordinates untrusted: {wrong}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_in_nonzero_group_trusted(self, dtype):
+        # its rounding error is at most T, whichever way float rounding of
+        # the grid value goes; 2:4 keeps one of the three leading zeros
+        x = np.random.default_rng(22).standard_normal((8, 16)).astype(dtype)
+        x[:, :3] = 0.0
+        x[:, 9] = 0.0
+        zeros = x == 0
+        wrong = [fmt for fmt in PROJECTING
+                 if not project(x, QuantConfig(format=fmt)).trust_mask[zeros].all()]
+        assert not wrong, f"an exact zero is untrusted for {wrong}"
 
     def test_sparse_format_masks(self):
         rng = np.random.default_rng(18)
@@ -485,6 +514,16 @@ def reference_project(x, cfg, axis=-1, with_codes=False):
             restore(mask), restore(sparsity_mask), restore(codes))
 
 
+def interior(x, cfg):
+    """|x / r| <= alpha* per coordinate, r the group RMS as reference_project
+    takes it: where the closed-form trust rule trusts every kept entry."""
+    group_size = cfg.group_size or x.shape[-1]
+    grouped = x.reshape(x.shape[:-1] + (x.shape[-1] // group_size, group_size))
+    r = np.sqrt(np.mean(np.square(grouped), axis=-1, keepdims=True))
+    x_norm = np.abs(grouped / np.where(r > 0, r, 1.0)).astype(np.float64)
+    return (x_norm <= alpha_star(cfg.grid_key)).reshape(x.shape)
+
+
 def oracle_input(dtype, axis):
     """(8, 12, 16) normals with outliers far beyond alpha, a zero fiber along
     `axis` and a zero group of 4 beside a nonzero remainder."""
@@ -506,13 +545,19 @@ class TestProjectOracle:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_bit_identical_to_reference(self, fmt, dtype, axis):
         # `axis` of the oracle input becomes the projected last axis: a
-        # strided view for 0 and 1, the contiguous array for 2
+        # strided view for 0 and 1, the contiguous array for 2. The reference
+        # masked by the rounded residual, whose float rounding could leave a
+        # kept entry inside alpha* untrusted (an exact zero in a nonzero row);
+        # the closed form trusts every one of those, and differs nowhere else
         x = np.moveaxis(oracle_input(dtype, axis), axis, -1)
         for group_size in (None, 4):
             cfg = QuantConfig(format=fmt, group_size=group_size)
             for with_codes in (False, True):
                 got = project(x, cfg, with_codes=with_codes)
-                want = reference_project(x, cfg, -1, with_codes)
+                want = list(reference_project(x, cfg, -1, with_codes))
+                if fmt != "none":
+                    kept = True if want[3] is None else want[3]
+                    want[2] = want[2] | (interior(x, cfg) & kept)
                 fields = (got.values, got.scale, got.trust_mask, got.sparsity_mask, got.codes)
                 for name, g, w in zip(("values", "scale", "trust_mask", "sparsity_mask", "codes"),
                                       fields, want):
@@ -565,7 +610,6 @@ class TestDtypes:
     def test_float32_stays_float32(self, fmt):
         x = np.random.default_rng(21).standard_normal((4, 16)).astype(np.float32)
         cfg = QuantConfig(format=fmt)
-        assert trust_thresholds(x, cfg).dtype == np.float32
         res = project(x, cfg)
         assert res.values.dtype == np.float32 and res.scale.dtype == np.float32
 
@@ -578,9 +622,9 @@ class TestDtypes:
     def test_rounding_rejects_integer_input(self):
         x = np.array([1, 0, -1])
         with pytest.raises(TypeError, match="int64"):
-            quantize_uniform(x, 1.5, 2)
+            round_grid(x, 1.5, 2)
         with pytest.raises(TypeError, match="int64"):
-            quantize_uniform_codes(x, 1.5, 2)
+            round_grid(x, 1.5, 2, with_codes=True)
         with pytest.raises(TypeError, match="int64"):
             round_fp4(x, 1.5)
 

@@ -8,11 +8,12 @@ PYTHONPATH=CHECKOUT/src), single-threaded (OMP_NUM_THREADS=1), with
 PYTHONDONTWRITEBYTECODE=1 and QUEST_SEED unset:
 
 - corpus.txt: `write_corpus(path, 60000, seed=5)` from CHECKOUT/tests/helpers.py;
-- train-FORMAT/: `train --seed 7` for each FORMAT in int4, none, fp4, int1
-  and int4-sparse-2of4, on a config of 2 blocks, hidden 64, 4 heads, seq 64,
-  25 steps of 512 tokens, peak LR 2e-3, config seed 13, eval_interval 0. The
-  format is set in the config JSON, not by a flag, so the same recipe runs on
-  checkouts whose `--format` flag differs;
+- train-FORMAT/: `train --seed 7` for each FORMAT in int4, int8, none, fp4,
+  int1 and int4-sparse-2of4 (every rung of the training ladder), on a config
+  of 2 blocks, hidden 64, 4 heads, seq 64, 25 steps of 512 tokens, peak LR
+  2e-3, config seed 13, eval_interval 0. The format is set in the config
+  JSON, not by a flag, so the same recipe runs on checkouts whose `--format`
+  flag differs;
 - mask-stats/masks.csv: `mask-stats --steps 12 --interval 4 --batch-tokens 512
   --seed 4` on the int4 checkpoint;
 - align/alignment.csv: `align --batches 3 --batch-size 2 --seed 3` on the int4
@@ -42,7 +43,7 @@ import subprocess
 import sys
 from itertools import product
 
-FORMATS = ("int4", "none", "fp4", "int1", "int4-sparse-2of4")
+FORMATS = ("int4", "int8", "none", "fp4", "int1", "int4-sparse-2of4")
 
 
 def config(fmt: str) -> dict:
