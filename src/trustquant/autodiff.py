@@ -66,6 +66,13 @@ class Tape:
     lives as long as the node, so as long as any later node, closure or
     caller that holds it, unless `release` drops it first. What a backward
     reads lives in its closure until that backward has run.
+
+    After backward every node keeps its `.parents` and its `.grad`. So a
+    caller that holds one node holds the whole graph upstream of it, with
+    every value not released and every gradient. `trainer.train` and
+    `trustquant mask-stats` hold each step's `ForwardTrace`, whose block
+    outputs reach nearly every node, until the next step has run: at their
+    peak two graphs and their gradients are alive, not one.
     """
 
     def __init__(self):

@@ -93,9 +93,13 @@ def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[Alignmen
     return records
 
 
-def mask_fraction(mask: np.ndarray) -> float:
-    """Fraction of masked (untrusted, M == 0) entries."""
-    return float(np.mean(~np.asarray(mask, dtype=bool)))
+def mask_fraction(mask: np.ndarray) -> float | None:
+    """Fraction of masked (untrusted, M == 0) entries; None (undefined) for
+    an empty mask."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.size == 0:
+        return None
+    return float(np.mean(~mask))
 
 
 def mask_persistence(mask_t1: np.ndarray, mask_t2: np.ndarray) -> float | None:

@@ -17,11 +17,12 @@ of 256. Byte-level vocabulary (256) by default.
 Parameters are read-only values: `build` and `load_checkpoint` return
 read-only arrays, and the optimizer replaces an array rather than writing
 into it. So a `Model` keeps each projection weight's transformed and
-projected operand (`Model.operand`) while `params[name]` is the array it was
-made from, and an eval pass, which never changes the weights, transforms
-and projects only activations after its first batch. `forward_logits` asks
-for every weight's operand before it computes the first activation, so the
-long-lived operands are allocated ahead of the pass's short-lived buffers.
+projected operand (`Model.operand`: grid values and the trust mask packed
+one bit per coordinate) while `params[name]` is the array it was made from,
+and an eval pass, which never changes the weights, transforms and projects
+only activations after its first batch. `forward_logits` asks for every
+weight's operand before it computes the first activation, so the long-lived
+operands are allocated ahead of the pass's short-lived buffers.
 
 The forward keeps only what a backward reads. Each block releases
 (`ad.Tape.release`) the value of an intermediate once its last forward
@@ -30,9 +31,9 @@ q and k after the attention, the attention output after the wo projection,
 o after the residual add, the MLP-norm output after the gate and up
 projections, the SwiGLU output after the down projection, and down after
 the second add. Their nodes stay on the tape with `.value` None. What stays
-alive is what the backward closures hold: the projected operands and trust
-masks, v, gate and up, the rotated q and k and the attention probabilities,
-the sigmoid of gate and the residual stream.
+alive is what the backward closures hold: the projected operands and their
+bit-packed trust masks, v, gate and up, the rotated q and k and the
+attention probabilities, the sigmoid of gate and the residual stream.
 
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
@@ -158,7 +159,8 @@ class Model:
         if held is not w:
             operand = weight(w, self.cfg.quant)
             for a in operand:
-                a.flags.writeable = False
+                if a is not None:  # an unprojected weight saves no mask
+                    a.flags.writeable = False
         self._operands[name] = w, operand
         return operand
 

@@ -196,7 +196,10 @@ class BatchStream:
 # --- training loop --------------------------------------------------------------
 
 def eval_loss(model: Model, windows: np.ndarray) -> float:
-    """Token-weighted mean cross-entropy over all windows."""
+    """Token-weighted mean cross-entropy over all windows; ValueError for
+    none."""
+    if len(windows) == 0:
+        raise ValueError("eval_loss got an empty window set: nothing to score")
     total, count = 0.0, 0
     for start in range(0, len(windows), EVAL_BATCH):
         batch = windows[start: start + EVAL_BATCH]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,11 @@ class TestMaskStats:
     def test_fraction_half(self):
         mask = np.array([True, False, True, False])
         assert mask_fraction(mask) == 0.5
+
+    def test_fraction_of_an_empty_mask_is_none(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mask_fraction(np.ones((0, 4), dtype=bool)) is None
 
     def test_gaussian_b8_matches_normal_tail(self):
         cfg = QuantConfig(format="int8", hadamard=False)

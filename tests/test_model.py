@@ -635,11 +635,28 @@ class TestWeightMemo:
                                quant=QuantConfig(format="int4")), Rng(39))
         contexts = forward_loss(model, Rng(40).integers(0, 256, (2, 9)))[2].layer_contexts
         held = [weakref.ref(p) for p in model.params.values()]
-        held += [weakref.ref(a) for ctx in contexts.values() for a in (ctx.w_hat_h, ctx.mask_w)]
+        # the stored bits: a `mask_w` read is a fresh unpacked copy that dies at once
+        held += [weakref.ref(a) for ctx in contexts.values() for a in (ctx.w_hat_h, ctx.bits_w)]
         assert len(held) == len(model.params) + 2 * 7
         del model, contexts
         gc.collect()
         assert all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("fmt", ["int4", "none"])
+    def test_operands_keep_their_masks_as_bits(self, fmt, monkeypatch):
+        monkeypatch.setattr(ql, "TILE", 64)  # every weight and activation runs in row tiles
+        model = build(tiny_cfg(num_blocks=1, hidden_size=12, num_heads=2,
+                               quant=QuantConfig(format=fmt)), Rng(43))
+        contexts = forward_loss(model, Rng(44).integers(0, 256, (2, 9)))[2].layer_contexts
+        assert len(contexts) == 7
+        for name, ctx in contexts.items():
+            (rows, k), (_, bits) = model.params[name].shape, model.operand(name)
+            assert bits is ctx.bits_w
+            if fmt == "none":
+                assert bits is None and ctx.bits_x is None
+            else:
+                assert bits.nbytes == rows * -(-k // 8)
+                assert ctx.bits_x.nbytes == len(ctx.x_hat_h) * -(-k // 8)
 
     @pytest.mark.parametrize("hadamard", [True, False])
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -654,7 +671,7 @@ class TestWeightMemo:
         for _ in range(2):
             replaced = [weakref.ref(p) for p in model.params.values()]
             replaced += [weakref.ref(a) for name in _projection_weights(model)
-                         for a in model.operand(name)]
+                         for a in model.operand(name) if a is not None]
             train_step(model, tokens, state, 1e-3, tcfg)
             forward_loss(model, tokens)
             gc.collect()

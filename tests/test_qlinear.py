@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,8 +76,9 @@ class TestForward:
 
 
 def frozen_forward(x, w, cfg):
-    """qlinear.forward as it stood with one hand-copied block per operand:
-    the oracle the one per-operand step must match bit for bit."""
+    """qlinear.forward as it stood with one hand-copied block per operand and
+    dense bool masks: the oracle the one per-operand step must match bit for
+    bit. Its context is the fields a QLinearContext reads out."""
     if cfg.hadamard:
         x_h = ht(x)
         w_h = ht(w)
@@ -92,7 +94,8 @@ def frozen_forward(x, w, cfg):
     else:
         pw = project(w_h, cfg)
         w_hat, mask_w = pw.values, pw.trust_mask
-    return x_hat @ w_hat.T, ql.QLinearContext(x_hat, w_hat, mask_x, mask_w, cfg.hadamard)
+    return x_hat @ w_hat.T, SimpleNamespace(x_hat_h=x_hat, w_hat_h=w_hat, mask_x=mask_x,
+                                            mask_w=mask_w, hadamard=cfg.hadamard)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -116,12 +119,19 @@ def test_forward_matches_frozen_oracle(fmt, hadamard, weight_only, dtype):
 
 def untiled_operand(a, cfg):
     """An operand as `qlinear` computed it before row tiles: the transform
-    and the projection each on the whole array."""
+    and the projection each on the whole array, the mask packed along k."""
     a_h = ht(a) if cfg.hadamard else a
     if cfg.format == "none":
-        return a_h, np.broadcast_to(True, a.shape)
+        return a_h, None
     p = project(a_h, cfg)
-    return p.values, p.trust_mask
+    return p.values, np.packbits(p.trust_mask, axis=-1)
+
+
+def same_operand(got, want):
+    """Each half of two operands is the same bytes, or None in both."""
+    return all(g is None if w is None else
+               g is not None and g.dtype == w.dtype and g.shape == w.shape
+               and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestRowTiles:
@@ -154,14 +164,13 @@ class TestRowTiles:
                 for side in (ql.activation, ql.weight):
                     calls.clear()
                     got = side(a, cfg)
-                    for g, w in zip(got, want):
-                        assert g.dtype == w.dtype and g.shape == w.shape
-                        assert g.tobytes() == w.tobytes(), (side.__name__, width, dtype,
-                                                            hadamard, group_size, n)
+                    assert same_operand(got, want), (side.__name__, width, dtype,
+                                                     hadamard, group_size, n)
                     assert len(calls) == (0 if fmt == "none" else tiles)
                 if n == 11:  # leading axes tile as their flattened rows
                     got3 = ql.activation(a.reshape(1, n, width), cfg)
-                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got3, want))
+                    assert all(g is w is None or g.tobytes() == w.tobytes()
+                               for g, w in zip(got3, want))
 
     def test_wide_eval_activation_matches_the_untiled_operand(self, monkeypatch):
         calls = self._counted(monkeypatch)
@@ -172,8 +181,7 @@ class TestRowTiles:
         a[step, 7] = np.nan
         got = ql.activation(a, cfg)
         assert step == 73 and len(calls) == 28  # 27 tiles of 73 rows and one of 61
-        for g, w in zip(got, untiled_operand(a, cfg)):
-            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert same_operand(got, untiled_operand(a, cfg))
         assert np.isnan(got[0][step]).all() and not got[0][step - 1].any()
 
     def test_tiles_bound_the_temporary_memory(self):
@@ -183,11 +191,11 @@ class TestRowTiles:
         ql.activation(a[:8], cfg)  # alpha* and the Sylvester blocks are cached
         tracemalloc.start()
         try:
-            values, mask = ql.activation(a, cfg)
+            values, bits = ql.activation(a, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - values.nbytes - mask.nbytes < 8 * ql.TILE * a.itemsize
+        assert peak - values.nbytes - bits.nbytes < 8 * ql.TILE * a.itemsize
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [128, 640, 1792])
@@ -207,6 +215,67 @@ class TestRowTiles:
             got_x, got_w = estimator(ctx, gy)
             assert got_x.tobytes() == iht(want_x).tobytes()
             assert got_w.tobytes() == iht(want_w).tobytes()
+
+
+class TestStoredMasks:
+    """A saved trust mask is one bit per coordinate, ceil(k / 8) bytes a row;
+    an operand that is not projected saves none."""
+
+    def test_untiled_and_tiled_masks_are_bits(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        x = (rng.standard_normal((11, 12)) * 3).astype(np.float32)
+        w = (rng.standard_normal((7, 12)) * 3).astype(np.float32)
+        cfg = QuantConfig(format="int4")
+        _, dense = frozen_forward(x, w, cfg)
+        for tile in (ql.TILE, 3 * 12):  # the whole array; tiles of 3 rows
+            monkeypatch.setattr(ql, "TILE", tile)
+            _, ctx = ql.forward(x, w, cfg)
+            for bits, mask in ((ctx.bits_x, dense.mask_x), (ctx.bits_w, dense.mask_w)):
+                assert bits.dtype == np.uint8 and bits.shape == (len(mask), 2)
+                assert bits.nbytes == len(mask) * 2
+                assert bits.tobytes() == np.packbits(mask, axis=-1).tobytes()
+            for view, mask in ((ctx.mask_x, dense.mask_x), (ctx.mask_w, dense.mask_w)):
+                assert view.dtype == bool and not view.flags.writeable
+                assert view.tobytes() == mask.tobytes()
+
+    def test_an_unprojected_operand_saves_no_mask(self):
+        rng = np.random.default_rng(45)
+        x, w = rng.standard_normal((11, 12)), rng.standard_normal((7, 12))
+        for cfg, w_masked in ((QuantConfig(format="none"), False),
+                              (QuantConfig(format="int4", weight_only=True), True)):
+            _, ctx = ql.forward(x, w, cfg)
+            assert ctx.bits_x is None
+            assert ctx.mask_x.shape == x.shape and ctx.mask_x.all()
+            assert (ctx.bits_w is not None) == w_masked
+            if w_masked:
+                assert ctx.bits_w.nbytes == 7 * 2
+            else:
+                assert ctx.mask_w.shape == w.shape and ctx.mask_w.all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hadamard", [False, True])
+@pytest.mark.parametrize("fmt", ["int1", "int4", "int8", "fp4", "int4-sparse-2of4"])
+def test_backward_equals_the_dense_mask_reference(fmt, hadamard, dtype):
+    """At k = 12, not a multiple of 8, the unpacked bits give the gradients of
+    the dense bool masks byte for byte."""
+    rng = np.random.default_rng(46)
+    x = rng.standard_t(1.5, (16, 12)).astype(dtype)  # heavy tails leave masked entries
+    w = rng.standard_t(1.5, (10, 12)).astype(dtype)
+    g = rng.standard_normal((16, 10)).astype(dtype)
+    cfg = QuantConfig(format=fmt, hadamard=hadamard)
+    _, ctx = ql.forward(x, w, cfg)
+    _, dense = frozen_forward(x, w, cfg)
+    # a 12-wide row holds no |x| / RMS beyond sqrt(12) = 3.46, inside int8's alpha* = 3.92
+    if not hadamard and fmt != "int8":
+        assert not (dense.mask_x.all() and dense.mask_w.all()), "fixture should mask entries"
+    want_x, want_w = g @ dense.w_hat_h, g.T @ dense.x_hat_h
+    want_x *= dense.mask_x
+    want_w *= dense.mask_w
+    got_x, got_w = ql.backward(ctx, g)
+    finish = iht if hadamard else np.asarray
+    assert got_x.tobytes() == finish(want_x).tobytes()
+    assert got_w.tobytes() == finish(want_w).tobytes()
 
 
 class TestBackward:
@@ -420,7 +489,7 @@ def test_group_equals_members_run_alone(case):
         _same_bytes(node.value, node1.value, f"y{i}")
         for f in dataclasses.fields(ctx):
             got, want = getattr(ctx, f.name), getattr(ctx1, f.name)
-            if f.name == "hadamard":
+            if f.name == "hadamard" or want is None:
                 assert got is want
             else:
                 _same_bytes(got, want, f"{f.name}{i}")

@@ -332,6 +332,11 @@ def test_eval_loss_holds_one_batch_graph_at_a_time():
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 
+def test_eval_loss_of_no_windows_is_a_value_error():
+    with pytest.raises(ValueError, match="empty window set"):
+        eval_loss(int4_model(), np.zeros((0, 33), dtype=np.int64))
+
+
 def int4_model(seed=3):
     cfg = ModelConfig(num_blocks=1, hidden_size=32, num_heads=2, max_seq_len=32,
                       quant=QuantConfig(format="int4"))

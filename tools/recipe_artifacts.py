@@ -14,6 +14,8 @@ PYTHONDONTWRITEBYTECODE=1 and QUEST_SEED unset:
   2e-3, config seed 13, eval_interval 0. The format is set in the config
   JSON, not by a flag, so the same recipe runs on checkouts whose `--format`
   flag differs;
+- train-int4-eval5/: the int4 run with eval_interval 5, so the mid-run
+  eval (its held-out windows and its `eval_loss` records) is covered too;
 - mask-stats/masks.csv: `mask-stats --steps 12 --interval 4 --batch-tokens 512
   --seed 4` on the int4 checkpoint;
 - align/alignment.csv: `align --batches 3 --batch-size 2 --seed 3` on the int4
@@ -46,12 +48,16 @@ from itertools import product
 FORMATS = ("int4", "int8", "none", "fp4", "int1", "int4-sparse-2of4")
 
 
-def config(fmt: str) -> dict:
+# (run name, format, eval_interval): every rung without mid-run eval, and int4 with it
+RUNS = [(fmt, fmt, 0) for fmt in FORMATS] + [("int4-eval5", "int4", 5)]
+
+
+def config(fmt: str, eval_interval: int) -> dict:
     return {
         "model": {"num_blocks": 2, "hidden_size": 64, "num_heads": 4, "max_seq_len": 64,
                   "quant": {"format": fmt}},
         "train": {"peak_lr": 2e-3, "total_steps": 25, "batch_tokens": 512,
-                  "data_path": "corpus.txt", "seed": 13, "eval_interval": 0},
+                  "data_path": "corpus.txt", "seed": 13, "eval_interval": eval_interval},
     }
 
 
@@ -87,10 +93,10 @@ def main(argv=None) -> int:
         run("-m", "trustquant.cli", *cmd, stdout=stdout)
 
     run("-c", "from helpers import write_corpus; write_corpus('corpus.txt', 60000, seed=5)")
-    for fmt in FORMATS:
-        with open(os.path.join(out, f"config-{fmt}.json"), "w") as f:
-            json.dump(config(fmt), f, indent=1)
-        cli("train", "--config", f"config-{fmt}.json", "--out", f"train-{fmt}", "--seed", "7")
+    for name, fmt, eval_interval in RUNS:
+        with open(os.path.join(out, f"config-{name}.json"), "w") as f:
+            json.dump(config(fmt, eval_interval), f, indent=1)
+        cli("train", "--config", f"config-{name}.json", "--out", f"train-{name}", "--seed", "7")
     ckpt = os.path.join("train-int4", "model.ckpt")
     cli("mask-stats", "--checkpoint", ckpt, "--data", "corpus.txt", "--out", "mask-stats",
         "--steps", "12", "--interval", "4", "--batch-tokens", "512", "--seed", "4")
