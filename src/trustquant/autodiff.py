@@ -15,8 +15,9 @@ the loss, or a node the caller is handed; `model.forward_logits` lists its
 release points.
 
 Two ops fuse what would otherwise be a chain of primitives into one node
-with a hand-written backward: `causal_attention` (head split, rotary on q
-and k, q k^T, scale, causal mask, softmax, p v, head merge) and `swiglu`
+with a hand-written backward: `causal_attention(q, k, v, cos, sin)` (head
+split, rotary on q and k, q k^T, scale by 1/sqrt(d) for the head width
+d = 2 * cos.shape[-1], causal mask, softmax, p v, head merge) and `swiglu`
 (silu(gate) * up). They run their elementwise steps in place on buffers
 they own and keep the chain's arithmetic order, so their values and
 gradients equal the chain's bit for bit. `causal_attention` rotates q and k
@@ -271,20 +272,20 @@ def causal_mask(seq_len: int) -> np.ndarray:
     return np.triu(np.full((seq_len, seq_len), MASKED, dtype=np.float32), k=1)[None, None]
 
 
-def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray,
-                     scale) -> Node:
+def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray) -> Node:
     """Causal multi-head self-attention as one node.
 
     q, k and v are (B, S, h) projections; cos and sin are the (S, d/2)
     rotary tables of the head dimension d, so there are h / d heads. Returns
     the heads' merged context, (B, S, h). The value and each gradient equal
     those of the primitive chain bit for bit: split the heads, `rotary` on
-    q and k, q k^T, `mul` by scale, `add` causal_mask, `softmax`, p v, merge
-    the heads. Rotary runs once per (B, S, h) tensor, on (S, h) tables built
-    from cos and sin (see `_rotate`). The score steps run one batch row
-    at a time, on (heads, S, S) blocks that stay in cache. The backward keeps
-    the rotated q and k and the probabilities; it gathers the rotated-space
-    gradients of q and k for every row, then un-rotates each once, in place.
+    q and k, q k^T, `mul` by the scale 1/sqrt(d) in the op's dtype, `add`
+    causal_mask, `softmax`, p v, merge the heads. Rotary runs once per
+    (B, S, h) tensor, on (S, h) tables built from cos and sin (see
+    `_rotate`). The score steps run one batch row at a time, on (heads, S, S)
+    blocks that stay in cache. The backward keeps the rotated q and k and the
+    probabilities; it gathers the rotated-space gradients of q and k for
+    every row, then un-rotates each once, in place.
     """
     for node in (k, v):
         if node.shape != q.shape:
@@ -296,6 +297,7 @@ def causal_attention(q: Node, k: Node, v: Node, cos: np.ndarray, sin: np.ndarray
         raise ValueError(f"rotary tables {cos.shape} do not fit a (B, S, h) = {q.shape} input")
     heads = h // d
     dtype = np.result_type(q.value, cos)
+    scale = dtype.type(1.0 / np.sqrt(d))
     mask = causal_mask(seq)[0]
 
     def split(x):  # (B, S, h) -> (B, heads, S, d) view

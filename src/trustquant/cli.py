@@ -119,7 +119,10 @@ def _write_rows(path, header, rows) -> None:
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
     _check_corpus(args.config, model_cfg, train_cfg)
-    model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
+    try:
+        model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
+    except ValueError as err:  # the flags give a config the model cannot run
+        sys.exit(f"trustquant: {args.config}: {err}")
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     model = build(model_cfg, Rng(train_cfg.seed))
     records = trainer.train(model, train_cfg, args.out)

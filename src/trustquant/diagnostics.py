@@ -1,11 +1,12 @@
 """Gradient-alignment measurement and trust-mask statistics.
 
-Alignment runs backward twice on the same input: once with the model's
-quantization, once with activation quantization disabled (weights stay
-quantized), and reports the cosine similarity of the activation gradients
-captured after each transformer block (block boundary = residual-stream
-output). Undefined values (zero-norm gradients, empty mask denominators)
-are None, never silently dropped; the CLI's tables show them as empty cells.
+Alignment (`alignment_sweep`) runs backward twice on the same input: once
+with the model's quantization under an estimator tag, once with activation
+quantization disabled (weights stay quantized), and reports the cosine
+similarity of the activation gradients captured after each transformer
+block (block boundary = residual-stream output). Undefined values
+(zero-norm gradients, empty mask denominators) are None, never silently
+dropped; the CLI's tables show them as empty cells.
 
 Estimator tags: "quest" (trust masks + Hadamard), "quest-no-ht" (trust
 masks, no Hadamard), "ste" (straight-through, no Hadamard).
@@ -70,14 +71,6 @@ def _block_cosines(quantized: Model, reference: Model,
     """Per-block cosine of the activation gradients of two models."""
     return [cosine(q, r) for q, r in zip(_block_grads(quantized, tokens),
                                          _block_grads(reference, tokens))]
-
-
-def grad_alignment(model: Model, tokens: np.ndarray, block: int) -> float | None:
-    """Cosine similarity of the block's activation gradient with vs without
-    activation quantization. None when either gradient has zero norm."""
-    if block >= model.cfg.num_blocks:
-        raise ValueError(f"block {block} out of range for {model.cfg.num_blocks} blocks")
-    return _block_cosines(*_variants(model, model.cfg.quant), tokens)[block]
 
 
 def alignment_sweep(model: Model, batches, tags=ESTIMATOR_TAGS) -> list[AlignmentRecord]:

@@ -26,14 +26,14 @@ operands are allocated ahead of the pass's short-lived buffers.
 
 The forward keeps only what a backward reads. Each block releases
 (`ad.Tape.release`) the value of an intermediate once its last forward
-reader has run: the attention-norm output after the q, k and v projections,
-q and k after the attention, the attention output after the wo projection,
-o after the residual add, the MLP-norm output after the gate and up
-projections, the SwiGLU output after the down projection, and down after
-the second add. Their nodes stay on the tape with `.value` None. What stays
-alive is what the backward closures hold: the projected operands and their
-bit-packed trust masks, v, gate and up, the rotated q and k and the
-attention probabilities, the sigmoid of gate and the residual stream.
+reader has run. A projection group releases its input, which no backward
+reads: the attention norm's and the MLP norm's outputs, the attention
+output and the SwiGLU output. Besides those, q and k go after the
+attention, o after the residual add and down after the second add. Their
+nodes stay on the tape with `.value` None. What stays alive is what the
+backward closures hold: the projected operands and their bit-packed trust
+masks, v, gate and up, the rotated q and k and the attention
+probabilities, the sigmoid of gate and the residual stream.
 
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
@@ -89,6 +89,18 @@ class ModelConfig:
             raise ValueError(f"head dimension {self.head_dim} must be even")
         if not isinstance(self.quant, QuantConfig):  # a dict, as parsed from JSON
             self.quant = QuantConfig(**self.quant)
+        if self.max_seq_len < 2:
+            raise ValueError(f"max_seq_len {self.max_seq_len} is below 2: a window predicts "
+                             f"its next token")
+        if self.quant.format != "none":  # the projected widths k: hidden and MLP inputs
+            for k in (self.hidden_size, self.mlp_intermediate):
+                group = self.quant.group_size or k
+                if k % group:
+                    raise ValueError(f"quant.group_size {group} does not divide the "
+                                     f"projected width {k}")
+                if self.quant.format == "int4-sparse-2of4" and group % 4:
+                    raise ValueError(f"2:4 sparsity needs scale groups of a multiple of 4, "
+                                     f"got {group} at width {k}")
 
     @property
     def head_dim(self) -> int:
@@ -214,12 +226,13 @@ def forward_logits(model: Model, tokens: np.ndarray):
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
     trace = ForwardTrace(param_leaves=leaves)
     cos, sin = rope_tables(cfg, seq)
-    scale = F32(1.0 / np.sqrt(cfg.head_dim))
 
     def proj(x, *names):
-        """One output node per named weight; the weights share x's operand."""
+        """One output node per named weight; the weights share x's operand,
+        and x, read by no backward, is released."""
         outs = qlinear(x, [leaves[name] for name in names], cfg.quant,
                        [operands[name] for name in names])
+        tape.release(x)
         for name, (_, ctx) in zip(names, outs):
             trace.layer_contexts[name] = ctx
         return [node for node, _ in outs]
@@ -227,22 +240,15 @@ def forward_logits(model: Model, tokens: np.ndarray):
     x = ad.embedding_gather(leaves["embedding"], tokens)  # (B, S, h)
     for b in range(cfg.num_blocks):
         p = f"block{b}."
-        normed = ad.rmsnorm(x, leaves[p + "attn_norm"])
-        q, k, v = proj(normed, p + "wq", p + "wk", p + "wv")
-        tape.release(normed)
-        attended = ad.causal_attention(q, k, v, cos, sin, scale)
+        q, k, v = proj(ad.rmsnorm(x, leaves[p + "attn_norm"]), p + "wq", p + "wk", p + "wv")
+        attended = ad.causal_attention(q, k, v, cos, sin)
         tape.release(q, k)
         (o,) = proj(attended, p + "wo")
-        tape.release(attended)
         x = ad.add(x, o)
         tape.release(o)
 
-        normed = ad.rmsnorm(x, leaves[p + "mlp_norm"])
-        gate, up = proj(normed, p + "w_gate", p + "w_up")
-        tape.release(normed)
-        mixed = ad.swiglu(gate, up)
-        (down,) = proj(mixed, p + "w_down")
-        tape.release(mixed)
+        gate, up = proj(ad.rmsnorm(x, leaves[p + "mlp_norm"]), p + "w_gate", p + "w_up")
+        (down,) = proj(ad.swiglu(gate, up), p + "w_down")
         x = ad.add(x, down)
         tape.release(down)
         trace.block_outputs.append(x)

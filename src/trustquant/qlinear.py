@@ -14,17 +14,18 @@ uint8 array of ceil(k/8) bytes per row (`bits_x`, `bits_w`). The backward
 unpacks it a row tile at a time just before the multiply, and the
 context's `mask_x` and `mask_w` read it as a read-only dense bool array.
 
-The tape op `qlinear(x, ws, cfg)` takes a group of weights that read one
-activation x, held as (..., k). It transforms and projects x once and hands
-that shared operand (x_hat_h, bits_x) to `forward` for each weight, so a
-group costs one x transform and projection however many weights it has, and
-still one matmul and one tape node per weight. The contexts of a group share
-the x_hat_h and bits_x arrays; nothing writes to them after the forward. The
-backward is per weight and unchanged, and the tape sums the x-gradients.
+The tape op `qlinear(x, ws, cfg, w_operands)` takes a group of weights that
+read one activation x, held as (..., k), and each weight's operand from
+`weight`. It transforms and projects x once and hands that shared operand
+(x_hat_h, bits_x) to `forward` for each weight, so a group costs one x
+transform and projection however many weights it has, and still one matmul
+and one tape node per weight. The contexts of a group share the x_hat_h and
+bits_x arrays; nothing writes to them after the forward. The backward is per
+weight and unchanged, and the tape sums the x-gradients.
 
 A weight's side, (w_hat_h, bits_w) from `weight(w, cfg)`, depends on w and
-cfg alone; a caller that runs one weight many times can compute it once and
-pass it back in (`model.Model.operand` does).
+cfg alone, so a caller that runs one weight many times computes it once
+(`model.Model.operand` does).
 
 A projected operand of more than TILE elements (2^17, 512 KB of float32) is
 transformed, projected, trust-masked and packed one row tile at a time, so
@@ -38,12 +39,13 @@ buffers either.
 
 Backward (trust estimator): dL/dx = IHT(M_x * (dL/dy @ w_hat_h)) and
 dL/dw = IHT(M_w * (dL/dy^T @ x_hat_h)), all products in full precision.
-The STE variant forces both masks to all-true. Masks are saved from the
-forward pass, never recomputed.
+The straight-through estimator (STE) is this backward over a context with
+no masks. Masks are saved from the forward pass, never recomputed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ class QLinearContext:
     activations and n x k row-major quantized weights (both in the transform
     domain), their trust masks packed along k (None when all-true), and
     whether the transform ran. `mask_x` and `mask_w` read a mask as a
-    read-only bool array of its operand's shape; assigning one packs it."""
+    read-only bool array of its operand's shape."""
 
     x_hat_h: np.ndarray
     w_hat_h: np.ndarray
@@ -71,10 +73,8 @@ class QLinearContext:
     bits_w: np.ndarray | None
     hadamard: bool
 
-    mask_x = property(lambda self: _unpacked(self.bits_x, self.x_hat_h.shape),
-                      lambda self, mask: setattr(self, "bits_x", _packed(mask)))
-    mask_w = property(lambda self: _unpacked(self.bits_w, self.w_hat_h.shape),
-                      lambda self, mask: setattr(self, "bits_w", _packed(mask)))
+    mask_x = property(lambda self: _unpacked(self.bits_x, self.x_hat_h.shape))
+    mask_w = property(lambda self: _unpacked(self.bits_w, self.w_hat_h.shape))
 
 
 # `np.packbits` and `np.unpackbits` along an axis run a short loop per row,
@@ -156,7 +156,8 @@ def _projected(a: np.ndarray, cfg: QuantConfig):
     return p.values, _packed(p.trust_mask)
 
 
-def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):
+def backward(ctx: QLinearContext, grad_y: np.ndarray):
+    """Trust-estimator backward: masked in the transform domain, then IHT."""
     if ctx is None:
         raise ValueError("missing qlinear context")
     if grad_y.shape != (ctx.x_hat_h.shape[0], ctx.w_hat_h.shape[0]):
@@ -168,36 +169,29 @@ def _estimate(ctx: QLinearContext, grad_y: np.ndarray, masked: bool):
     grad_w = grad_y.T @ ctx.x_hat_h
     for grad, bits in ((grad_x, ctx.bits_x), (grad_w, ctx.bits_w)):
         for tile in _tiles(grad):  # in place, a row tile at a time
-            if masked and bits is not None:  # bool multiply zeroes masked coordinates exactly
+            if bits is not None:  # bool multiply zeroes masked coordinates exactly
                 grad[tile] *= _unpacked(bits[tile], grad[tile].shape)
             if ctx.hadamard:
                 iht(grad[tile], out=grad[tile])
     return grad_x, grad_w
 
 
-def backward(ctx: QLinearContext, grad_y: np.ndarray):
-    """Trust-estimator backward: masked in the transform domain, then IHT."""
-    return _estimate(ctx, grad_y, masked=True)
-
-
 def ste_backward(ctx: QLinearContext, grad_y: np.ndarray):
-    """Straight-through backward: as backward with masks forced all-true."""
-    return _estimate(ctx, grad_y, masked=False)
+    """Straight-through backward: the trust backward with no masks."""
+    return backward(dataclasses.replace(ctx, bits_x=None, bits_w=None), grad_y)
 
 
-def qlinear(x: Node, ws, cfg: QuantConfig, w_operands=None):
+def qlinear(x: Node, ws, cfg: QuantConfig, w_operands):
     """Tape registration of a group of layers that read one activation;
     backward follows cfg.estimator.
 
     x is (..., k); each weight in `ws` is n_i x k and its output (..., n_i).
-    Returns one (output node, context) per weight, in order. x is transformed
-    and projected once for the whole group. `w_operands` holds each weight's
-    operand from `weight`, for a caller that already asked for them.
+    `w_operands` holds each weight's operand from `weight`. Returns one
+    (output node, context) per weight, in order. x is transformed and
+    projected once for the whole group.
     """
     x2 = x.value.reshape((-1,) + x.shape[-1:])
     operand = activation(x2, cfg)
-    if w_operands is None:
-        w_operands = [weight(w.value, cfg) for w in ws]
     estimator = backward if cfg.estimator == "trust" else ste_backward
     return [_record(x, w, *forward(x2, w.value, cfg, operands=(operand, w_operand)), estimator)
             for w, w_operand in zip(ws, w_operands)]

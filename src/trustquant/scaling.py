@@ -113,14 +113,13 @@ def huber(residual):
     return np.where(r <= HUBER_DELTA, 0.5 * r * r, HUBER_DELTA * (r - 0.5 * HUBER_DELTA))
 
 
-def efficiency(params: ScalingLawParams, precision, bits: float | None = None) -> float:
-    """eff(P)/P, the quantity maximized by the loss-per-runtime-cost optimum."""
+def efficiency(params: ScalingLawParams, precision) -> float:
+    """eff(P)/P for a bit-width P, the quantity maximized by the
+    loss-per-runtime-cost optimum."""
     precision = _parse_tag(precision)
-    if bits is None:
-        if not isinstance(precision, (int, float)):
-            raise ValueError(f"pass bits= explicitly for tag {precision!r}")
-        bits = float(precision)
-    return params.eff[precision] / bits
+    if not isinstance(precision, (int, float)):
+        raise ValueError(f"efficiency needs a bit-width precision, got tag {precision!r}")
+    return params.eff[precision] / float(precision)
 
 
 # --- batched BFGS --------------------------------------------------------------

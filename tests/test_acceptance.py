@@ -162,8 +162,7 @@ class TestCriterion3Estimators:
         # all-true masks reproduce the STE gradients exactly
         cfg = QuantConfig(format="int8", hadamard=False)
         _, ctx = ql.forward(x, w, cfg)
-        ctx.mask_x = np.ones_like(ctx.mask_x)
-        ctx.mask_w = np.ones_like(ctx.mask_w)
+        ctx.bits_x = ctx.bits_w = None  # every coordinate trusted
         ste_equal = all(
             np.array_equal(a, b)
             for a, b in zip(ql.backward(ctx, gy), ql.ste_backward(ctx, gy))

@@ -362,12 +362,12 @@ class TestFusedOps:
 
         def run(xs):
             t = ad.Tape()
-            out = ad.causal_attention(*(t.leaf(x) for x in xs), cos, sin, 0.7)
+            out = ad.causal_attention(*(t.leaf(x) for x in xs), cos, sin)
             return float((out.value * probe).sum())
 
         t = ad.Tape()
         leaves = [t.leaf(x.copy()) for x in arrays]
-        probed_backward(t, ad.causal_attention(*leaves, cos, sin, 0.7), probe)
+        probed_backward(t, ad.causal_attention(*leaves, cos, sin), probe)
         fd = finite_difference(run, [x.copy() for x in arrays])
         for node, g in zip(leaves, fd):
             assert rel_err(node.grad, g) < 1e-4
@@ -391,9 +391,9 @@ class TestFusedOps:
     @pytest.mark.parametrize("op, args", [
         ("causal_attention", lambda t: (t.leaf(np.ones((1, 2, 4))), t.leaf(np.ones((1, 3, 4))),
                                         t.leaf(np.ones((1, 2, 4))), np.ones((2, 1)),
-                                        np.ones((2, 1)), 1.0)),
+                                        np.ones((2, 1)))),
         ("causal_attention", lambda t: (*(t.leaf(np.ones((1, 2, 6))) for _ in range(3)),
-                                        np.ones((2, 2)), np.ones((2, 2)), 1.0)),
+                                        np.ones((2, 2)), np.ones((2, 2)))),
         ("swiglu", lambda t: (t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))),
     ], ids=["qkv-shapes", "tables-vs-width", "swiglu-shapes"])
     def test_shape_mismatch_rejected(self, op, args):
@@ -409,7 +409,7 @@ class TestFusedOps:
         scale = dtype(1.0 / np.sqrt(2 * half))
         probe = rng.standard_normal(arrays[0].shape).astype(dtype)
         cases = [(ad.causal_attention, lambda *n: attention_chain(*n, cos, sin, scale),
-                  arrays, (cos, sin, scale)),
+                  arrays, (cos, sin)),
                  (ad.swiglu, swiglu_chain, arrays[:2], ())]
         for fused, chain, xs, extra in cases:
             results = []

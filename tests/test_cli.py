@@ -449,6 +449,28 @@ class TestConfigFile:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, flags, problem", [
+        ({"max_seq_len": 1}, [], "max_seq_len 1 is below 2: a window predicts its next token"),
+        ({"quant": {"format": "int4", "group_size": 3}}, [],
+         "quant.group_size 3 does not divide the projected width 8"),
+        ({"hidden_size": 10, "num_heads": 1, "quant": {"format": "int4-sparse-2of4"}}, [],
+         "2:4 sparsity needs scale groups of a multiple of 4, got 10 at width 10"),
+        ({"hidden_size": 10, "num_heads": 1}, ["--format", "int4-sparse-2of4"],
+         "2:4 sparsity needs scale groups of a multiple of 4, got 10 at width 10"),
+    ], ids=["seq-1", "group-3", "sparse-hidden-10", "sparse-flag-hidden-10"])
+    def test_config_the_model_cannot_run_is_one_line(self, model, flags, problem, tmp_path):
+        corpus = write_corpus(tmp_path / "c.txt", 400, seed=34)
+        config = {"model": {"num_blocks": 1, "hidden_size": 8, "num_heads": 2,
+                            "max_seq_len": 8, "quant": {"format": "int4"}, **model},
+                  "train": {"peak_lr": 2e-3, "total_steps": 2, "batch_tokens": 16,
+                            "data_path": str(corpus)}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        assert proc.returncode == 1
+        assert proc.stderr == f"trustquant: {path}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReadme:
     """README's CLI block and config example stay in step with the parser."""
@@ -498,7 +520,8 @@ class TestDispatch:
 # parses but holds one model size, which the fit rejects: a records CSV that
 # fits would take seconds per draw, and TestFitScaling covers it.
 INPUT_FILES = ["corpus.txt", "short.txt", "empty", "random.bin", "config.json",
-               "short-config.json", "cut-config.json", "model.ckpt", "cut.ckpt",
+               "short-config.json", "cut-config.json", "seq1-config.json",
+               "group3-config.json", "sparse-hidden10-config.json", "model.ckpt", "cut.ckpt",
                "records.csv", "cut-records.csv", "dir", "missing"]
 GOOD_TEXT = {"config": "config.json", "checkpoint": "model.ckpt", "data": "corpus.txt",
              "records": "records.csv", "out": "out", "precisions": "4,16"}
@@ -510,7 +533,9 @@ BAD = ["0", "-1", "nan", "inf", "1e30", "x", "", "1,2", "2,nan"]
 def input_files(tmp_path_factory):
     """A directory holding one file of each kind in INPUT_FILES but "missing".
     The configs train a 1-block, hidden-8, 2-token model for 2 steps of 2
-    windows, and the corpus holds 12, fewer than a 16-window batch."""
+    windows, and the corpus holds 12, fewer than a 16-window batch. Three
+    configs give a model that cannot run: 1-token windows, scale groups of 3,
+    and 2:4 sparsity at hidden 10, which runs under another --format."""
     root = tmp_path_factory.mktemp("inputs")
     write_corpus(root / "corpus.txt", 24, seed=35)
     (root / "short.txt").write_bytes(b"a")  # shorter than one window
@@ -524,6 +549,13 @@ def input_files(tmp_path_factory):
     config["train"]["data_path"] = "short.txt"
     (root / "short-config.json").write_text(json.dumps(config))
     (root / "cut-config.json").write_text(json.dumps(config)[:60])
+    config["train"]["data_path"] = "corpus.txt"
+    for name, model in [("seq1", {"max_seq_len": 1}),
+                        ("group3", {"quant": {"format": "int4", "group_size": 3}}),
+                        ("sparse-hidden10", {"hidden_size": 10, "num_heads": 1,
+                                             "quant": {"format": "int4-sparse-2of4"}})]:
+        unrunnable = {**config, "model": {**config["model"], **model}}
+        (root / f"{name}-config.json").write_text(json.dumps(unrunnable))
     with contextlib.chdir(root):
         assert main(["train", "--config", "config.json", "--out", "run"]) == 0
     ckpt = (root / "run" / "model.ckpt").read_bytes()

@@ -9,7 +9,6 @@ from trustquant.diagnostics import (
     alignment_sweep,
     cosine,
     estimator_config,
-    grad_alignment,
     mask_fraction,
     mask_persistence,
     summarize,
@@ -60,25 +59,22 @@ class TestGradAlignment:
     def test_unquantized_passes_align_exactly(self):
         model = tiny_model(QuantConfig(format="none", hadamard=False))
         tokens = Rng(62).integers(0, 256, (2, 17))
-        xi = grad_alignment(model, tokens, block=1)
-        assert xi == pytest.approx(1.0, abs=1e-9)
+        records = alignment_sweep(model, [tokens])
+        assert len(records) == 3 * 2
+        assert all(r.xi == pytest.approx(1.0, abs=1e-9) for r in records)
 
     def test_weight_only_also_aligns_exactly(self):
         # disabling activation quantization twice gives identical passes
         model = tiny_model(QuantConfig(format="int4", weight_only=True))
         tokens = Rng(63).integers(0, 256, (2, 17))
-        assert grad_alignment(model, tokens, block=0) == pytest.approx(1.0, abs=1e-9)
+        records = alignment_sweep(model, [tokens])
+        assert all(r.xi == pytest.approx(1.0, abs=1e-9) for r in records)
 
     def test_quantized_alignment_in_range(self):
         model = tiny_model(QuantConfig(format="int4"))
         tokens = Rng(64).integers(0, 256, (2, 17))
-        xi = grad_alignment(model, tokens, block=1)
-        assert xi is not None and abs(xi) <= 1.0 + 1e-6
-
-    def test_block_out_of_range(self):
-        model = tiny_model(QuantConfig(format="int4"))
-        with pytest.raises(ValueError, match="block"):
-            grad_alignment(model, np.zeros((1, 4), dtype=int), block=5)
+        records = alignment_sweep(model, [tokens])
+        assert all(r.xi is not None and abs(r.xi) <= 1.0 + 1e-6 for r in records)
 
     def test_sweep_covers_tags_and_blocks(self):
         model = tiny_model(QuantConfig(format="int8"))

@@ -40,6 +40,14 @@ def tiny_cfg(**kw):
     return ModelConfig(**defaults)
 
 
+def runnable_cfg(**kw):
+    """ModelConfig(**kw), or None where it rejects a config the model cannot run."""
+    try:
+        return ModelConfig(**kw)
+    except ValueError:
+        return None
+
+
 class TestConfig:
     def test_mlp_padding(self):
         assert pad_to_multiple(341) == 512
@@ -69,6 +77,26 @@ class TestConfig:
     def test_sizes_must_be_positive_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a positive int"):
             tiny_cfg(**{field: value})
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(max_seq_len=1), "max_seq_len 1 is below 2"),
+        (dict(quant=QuantConfig(format="int4", group_size=3)), "group_size 3 .* width 64"),
+        (dict(hidden_size=48, quant=QuantConfig(format="int4", group_size=48)),
+         "group_size 48 .* width 256"),
+        (dict(hidden_size=10, num_heads=1, quant=QuantConfig(format="int4-sparse-2of4")),
+         "multiple of 4, got 10"),
+        (dict(quant=QuantConfig(format="int4-sparse-2of4", group_size=2)),
+         "multiple of 4, got 2"),
+    ], ids=["seq-1", "group-3", "group-48-mlp", "sparse-hidden-10", "sparse-group-2"])
+    def test_unrunnable_configs_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_cfg(**kw)
+
+    def test_runnable_edge_configs_accepted(self):
+        tiny_cfg(max_seq_len=2)
+        tiny_cfg(quant=QuantConfig(format="none", group_size=3))  # nothing is projected
+        tiny_cfg(quant=QuantConfig(format="int4-sparse-2of4", group_size=4))
+        tiny_cfg(hidden_size=12, quant=QuantConfig(format="int4-sparse-2of4"))
 
     @pytest.mark.parametrize("value", [0, -5, math.nan, math.inf, "10000"])
     def test_rope_base_must_be_finite_positive(self, value):
@@ -314,7 +342,7 @@ class TestCheckpoint:
 
     @given(
         st.builds(
-            lambda heads, head_half, **kw: ModelConfig(
+            lambda heads, head_half, **kw: runnable_cfg(
                 hidden_size=heads * 2 * head_half, num_heads=heads, **kw),
             heads=st.integers(1, 2), head_half=st.integers(1, 4),
             num_blocks=st.integers(1, 2), vocab_size=st.integers(2, 16),
@@ -323,7 +351,8 @@ class TestCheckpoint:
                 QuantConfig, format=st.sampled_from(FORMATS),
                 group_size=st.none() | st.integers(1, 8), hadamard=st.booleans(),
                 outer_trust_scale=st.none() | st.floats(0.1, 4.0),
-                weight_only=st.booleans(), estimator=st.sampled_from(["trust", "ste"]))),
+                weight_only=st.booleans(), estimator=st.sampled_from(["trust", "ste"])),
+        ).filter(lambda cfg: cfg is not None),
         st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, cfg, seed):

@@ -284,8 +284,8 @@ class TestBackward:
         cfg = QuantConfig(format="int8", hadamard=False)
         y, ctx = ql.forward(x, w, cfg)
         gy = np.random.default_rng(34).standard_normal(y.shape)
-        ctx.mask_x = np.ones_like(ctx.mask_x)
-        ctx.mask_w = np.ones_like(ctx.mask_w)
+        # every bit set: the mask multiply runs and trusts every coordinate
+        ctx.bits_x, ctx.bits_w = np.full_like(ctx.bits_x, 255), np.full_like(ctx.bits_w, 255)
         gx_t, gw_t = ql.backward(ctx, gy)
         gx_s, gw_s = ql.ste_backward(ctx, gy)
         assert np.array_equal(gx_t, gx_s)
@@ -295,8 +295,7 @@ class TestBackward:
         x, w = operands
         cfg = QuantConfig(format="int4", hadamard=False)
         y, ctx = ql.forward(x, w, cfg)
-        ctx.mask_x = np.zeros_like(ctx.mask_x)
-        ctx.mask_w = np.zeros_like(ctx.mask_w)
+        ctx.bits_x, ctx.bits_w = np.zeros_like(ctx.bits_x), np.zeros_like(ctx.bits_w)
         gx, gw = ql.backward(ctx, np.ones(y.shape))
         assert np.all(gx == 0)
         assert np.all(gw == 0)
@@ -408,7 +407,7 @@ class TestTapeIntegration:
             cfg = QuantConfig(format="int2", hadamard=False, estimator=estimator)
             t = ad.Tape()
             nx, nw = t.leaf(x * 3), t.leaf(w * 3)
-            [(node, ctx)] = ql.qlinear(nx, [nw], cfg)
+            [(node, ctx)] = ql.qlinear(nx, [nw], cfg, [ql.weight(nw.value, cfg)])
             t.backward(ad.sum_all(node))
             ref = (ql.backward if estimator == "trust" else ql.ste_backward)(
                 ctx, np.ones(node.value.shape)
@@ -427,7 +426,7 @@ class TestTapeIntegration:
         def run(xv, gv):
             t = ad.Tape()
             nx, nw = t.leaf(xv), t.leaf(w)
-            [(node, _)] = ql.qlinear(nx, [nw], cfg)
+            [(node, _)] = ql.qlinear(nx, [nw], cfg, [ql.weight(w, cfg)])
             t.backward(ad.sum_all(ad.mul(node, gv)))
             return node.value, nx.grad, nw.grad
 
@@ -465,7 +464,7 @@ def _run_tape(cfg, x, ws, upstreams):
     the (node, context) pairs, x's gradient and the weights' gradients."""
     t = ad.Tape()
     nx, nws = t.leaf(x), [t.leaf(w) for w in ws]
-    outs = ql.qlinear(nx, nws, cfg)
+    outs = ql.qlinear(nx, nws, cfg, [ql.weight(w, cfg) for w in ws])
     terms = [ad.sum_all(ad.mul(node, u)) for (node, _), u in zip(outs, upstreams)]
     loss = terms[0]
     for term in terms[1:]:

@@ -438,11 +438,10 @@ class TestEfficiency:
         assert max(effs, key=effs.get) == 4
         assert effs[4] > effs[3] > effs[8] > effs[2] > effs[16] > effs[1]
 
-    def test_string_tag_needs_bits(self):
+    def test_string_tag_rejected(self):
         params = chinchilla_like(eff={**TABLE_EFF, "fp4": 0.6})
         with pytest.raises(ValueError):
             efficiency(params, "fp4")
-        assert efficiency(params, "fp4", bits=4) == pytest.approx(0.15)
 
 
 class TestIsomem:
