@@ -73,19 +73,21 @@ def _load_config(path):
             sys.exit(f"trustquant: {path}: {err}")
 
 
-def _check_corpus(config_path, model_cfg: ModelConfig, train_cfg: trainer.TrainConfig) -> None:
-    """Before a run starts, check that the config's corpus reads and holds
-    enough training windows for one batch of `batch_tokens`; the windows
-    held out for eval_loss do not count. Exits with one line otherwise."""
-    windows = _read(trainer.ingest, train_cfg.data_path, model_cfg.max_seq_len)
-    held_out = trainer.held_out_windows(train_cfg)
+def _corpus(path, cfg: ModelConfig, batch: int = 1, held_out: int = 0, setting="", where=None):
+    """The corpus at `path` in cfg.max_seq_len-token windows. Exits with one
+    line unless it reads (`_read`), no byte reaches cfg.vocab_size, and one
+    batch of `batch` windows, as `setting` in the file `where` (else `path`)
+    sets it, fits beside the `held_out` ones kept for eval_loss."""
+    windows = _read(trainer.ingest, path, cfg.max_seq_len)
+    if (top := int(windows.max())) >= cfg.vocab_size:
+        sys.exit(f"trustquant: {path}: byte {top} is not below vocab_size {cfg.vocab_size}")
     usable = max(0, len(windows) - held_out)
-    batch = train_cfg.batch_tokens // model_cfg.max_seq_len
     if not 1 <= batch <= usable:
-        sys.exit(f"trustquant: {config_path}: batch_tokens {train_cfg.batch_tokens} gives "
-                 f"batches of {batch} {model_cfg.max_seq_len}-token windows, not between 1 "
-                 f"and the {usable} training windows of {train_cfg.data_path}"
-                 + (f" ({held_out} more are held out for eval_loss)" if held_out else ""))
+        sys.exit(f"trustquant: {where or path}: {setting} gives batches of {batch} "
+                 f"{cfg.max_seq_len}-token windows, not between 1 and the {usable} training "
+                 f"windows of {path}" + (f" ({held_out} more are held out for eval_loss)"
+                                         if held_out else ""))
+    return windows
 
 
 def _even_int(text: str) -> int:
@@ -118,7 +120,9 @@ def _write_rows(path, header, rows) -> None:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
-    _check_corpus(args.config, model_cfg, train_cfg)
+    _corpus(train_cfg.data_path, model_cfg, train_cfg.batch_tokens // model_cfg.max_seq_len,
+            trainer.held_out_windows(train_cfg), f"batch_tokens {train_cfg.batch_tokens}",
+            args.config)
     try:
         model_cfg = dataclasses.replace(model_cfg, quant=_quant_overrides(args, model_cfg.quant))
     except ValueError as err:  # the flags give a config the model cannot run
@@ -133,8 +137,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
-    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
-    loss = trainer.eval_loss(model, windows)
+    loss = trainer.eval_loss(model, _corpus(args.data, model.cfg))
     print(f"loss {loss:.6f}")
     print(f"ppl {math.exp(loss):.6f}")
     return 0
@@ -142,12 +145,9 @@ def cmd_eval(args) -> int:
 
 def cmd_align(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
-    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
-    if args.batch_size > len(windows):
-        sys.exit(f"trustquant: {args.data}: --batch-size {args.batch_size} is more than "
-                 f"its {len(windows)} windows")
-    seed = _effective_seed(args)
-    stream = trainer.BatchStream(windows, args.batch_size, seed)
+    windows = _corpus(args.data, model.cfg, args.batch_size,
+                      setting=f"--batch-size {args.batch_size}")
+    stream = trainer.BatchStream(windows, args.batch_size, _effective_seed(args))
     batches = [stream.next_batch() for _ in range(args.batches)]
     records = diagnostics.alignment_sweep(model, batches)
     os.makedirs(args.out, exist_ok=True)
@@ -163,13 +163,10 @@ def cmd_align(args) -> int:
 
 def cmd_mask_stats(args) -> int:
     model = _read(load_checkpoint, args.checkpoint)
-    seed = _effective_seed(args)
     train_cfg = trainer.TrainConfig(peak_lr=args.lr, total_steps=args.steps,
-                                    batch_tokens=args.batch_tokens, seed=seed)
-    windows = _read(trainer.ingest, args.data, model.cfg.max_seq_len)
-    if not 1 <= args.batch_tokens // model.cfg.max_seq_len <= len(windows):
-        sys.exit(f"trustquant: {args.data}: --batch-tokens {args.batch_tokens} is not between "
-                 f"one and all {len(windows)} of its {model.cfg.max_seq_len}-token windows")
+                                    batch_tokens=args.batch_tokens, seed=_effective_seed(args))
+    windows = _corpus(args.data, model.cfg, args.batch_tokens // model.cfg.max_seq_len,
+                      setting=f"--batch-tokens {args.batch_tokens}")
 
     rows, previous = [], {}
     for step, _, _, _, trace in trainer.steps(model, train_cfg, windows):
@@ -232,7 +229,9 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_s(args) -> int:
     model_cfg, train_cfg = _load_config(args.config)
-    _check_corpus(args.config, model_cfg, train_cfg)
+    _corpus(train_cfg.data_path, model_cfg, train_cfg.batch_tokens // model_cfg.max_seq_len,
+            trainer.held_out_windows(train_cfg), f"batch_tokens {train_cfg.batch_tokens}",
+            args.config)
     train_cfg = dataclasses.replace(train_cfg, seed=_effective_seed(args, train_cfg.seed))
     results = []
     for s in args.s_grid:  # train makes args.out along with each run directory

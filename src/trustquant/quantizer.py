@@ -130,16 +130,11 @@ def round_fp4(x: np.ndarray, alpha: float) -> np.ndarray:
     """
     x = np.asarray(x)
     require_float(x, "FP4 rounding")
-    grid = (alpha * FP4_GRID).astype(np.float64)
+    grid = alpha * FP4_GRID
     u = np.clip(x.astype(np.float64), -alpha, alpha)
     hi = np.searchsorted(grid, u).clip(1, len(grid) - 1)
-    lo = hi - 1
-    d_lo = u - grid[lo]
-    d_hi = grid[hi] - u
-    pick_hi = d_hi < d_lo
-    tie = d_hi == d_lo
-    pick_hi = np.where(tie, hi % 2 == 0, pick_hi)
-    idx = np.where(pick_hi, hi, lo)
+    d_lo, d_hi = u - grid[hi - 1], grid[hi] - u
+    idx = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0)), hi, hi - 1)
     return grid[idx].astype(x.dtype, copy=False)
 
 
@@ -261,13 +256,16 @@ def trust_mask(x_norm: np.ndarray, cfg: QuantConfig, keep: np.ndarray | None) ->
 
 
 def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> ProjectionResult:
-    """RMS-normalize per group along the last axis, quantize at alpha*,
-    rescale, compute masks.
+    """RMS-normalize per group along the last axis, round onto the grid at
+    alpha*, rescale by the group RMS r, compute masks.
 
-    Runs in x's dtype on two buffers, x / r and the grid values rescaled in
-    place. Zero-RMS groups map to all-zero output with a full-trust mask. A
-    group holding a NaN or an inf (a non-finite r) maps to all-NaN values in
-    every format, `none` included.
+    Runs in x's dtype on two buffers, x / r and its grid values rescaled in
+    place. Every format rounds x / r in one `round_grid` call; 2:4 then
+    zeroes the entries `sparsify_2of4` drops (a 0 would round to +T) and
+    returns no codes. One rescale by r follows: a zero-RMS group's grid
+    values are all >= 0, so it maps to exact zeros with a full-trust mask,
+    and a group holding a NaN or an inf (a non-finite r) maps to all-NaN
+    values in every format, `none` included.
     """
     x = np.asarray(x)
     require_float(x, "projection")
@@ -286,29 +284,20 @@ def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> Pro
     if cfg.format == "none":
         values = np.where(nonfinite, np.nan, grouped).reshape(x.shape) if nonfinite.any() else x
         return ProjectionResult(values=values, scale=scale, trust_mask=np.ones(x.shape, dtype=bool))
-    safe_r = np.where(nonfinite | (r == 0), 1.0, r)  # a non-finite group is NaN-filled below
+    safe_r = np.where(nonfinite | (r == 0), 1.0, r)  # for the division only
     np.divide(grouped, safe_r, out=x_norm)
 
-    sparsity_mask = codes = None
-    if cfg.format == "int4-sparse-2of4":
-        sparse_norm, sparsity_mask = sparsify_2of4(x_norm)
-        q = round_grid(sparse_norm, alpha, 4)[0]
-        np.copyto(q, 0.0, where=~sparsity_mask)
-    else:
-        q, codes = round_grid(x_norm, alpha, cfg.grid_key, with_codes)
-
-    mask = trust_mask(x_norm, cfg, sparsity_mask)
-    q *= safe_r
-    if (r == 0).any():  # zero-RMS groups: exact zeros
-        np.copyto(q, 0.0, where=r == 0)
-    if nonfinite.any():
-        np.copyto(q, np.nan, where=nonfinite)
+    keep = sparsify_2of4(x_norm)[1] if cfg.format == "int4-sparse-2of4" else None
+    q, codes = round_grid(x_norm, alpha, cfg.grid_key, with_codes and keep is None)
+    if keep is not None:
+        np.copyto(q, 0.0, where=~keep)
+    mask = trust_mask(x_norm, cfg, keep)
+    q *= np.where(nonfinite, np.nan, r)
 
     return ProjectionResult(
         values=np.ascontiguousarray(q.reshape(x.shape)),
         scale=scale,
         trust_mask=mask.reshape(x.shape),
-        sparsity_mask=sparsity_mask.reshape(x.shape) if sparsity_mask is not None else None,
+        sparsity_mask=keep.reshape(x.shape) if keep is not None else None,
         codes=codes.reshape(x.shape) if codes is not None else None,
     )
-

@@ -89,6 +89,12 @@ class ScalingLawParams:
 
 
 def _parse_tag(tag):
+    """A precision as its bit-width int (from an int, an integral float or a
+    digit string) or else its name, such as "fp4". A bool or a float with a
+    fraction raises ValueError: neither names a precision."""
+    fraction = isinstance(tag, (float, np.floating)) and not float(tag).is_integer()
+    if fraction or isinstance(tag, (bool, np.bool_)):
+        raise ValueError(f"precision {tag!r} is neither a whole bit-width nor a name")
     try:
         return int(tag)
     except (TypeError, ValueError):
@@ -117,7 +123,7 @@ def efficiency(params: ScalingLawParams, precision) -> float:
     """eff(P)/P for a bit-width P, the quantity maximized by the
     loss-per-runtime-cost optimum."""
     precision = _parse_tag(precision)
-    if not isinstance(precision, (int, float)):
+    if not isinstance(precision, int):
         raise ValueError(f"efficiency needs a bit-width precision, got tag {precision!r}")
     return params.eff[precision] / float(precision)
 

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import write_corpus
 from trustquant import scaling
 from trustquant.cli import _cell, _load_config, _quant_overrides, _write_rows, build_parser, main
+from trustquant.model import ModelConfig, build, save_checkpoint
 from trustquant.quantizer import FORMATS, QuantConfig
+from trustquant.tensor import Rng
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -472,6 +474,59 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestCorpusCheck:
+    """Every command that reads a corpus checks it against the model first:
+    a byte at or above vocab_size, or a batch the corpus cannot fill, ends
+    the command in one line before it writes anything."""
+
+    @pytest.fixture(scope="class")
+    def vocab16(self, tmp_path_factory):
+        """A vocab-16, hidden-8 config and checkpoint over a corpus of
+        letters and spaces, every byte of which is 32 or more."""
+        root = tmp_path_factory.mktemp("vocab16")
+        corpus = write_corpus(root / "c.txt", 4_000, seed=5)  # 125 windows of 32
+        model = {"num_blocks": 1, "hidden_size": 8, "num_heads": 2, "max_seq_len": 32,
+                 "vocab_size": 16, "quant": {"format": "int4"}}
+        (root / "config.json").write_text(json.dumps({"model": model, "train": {
+            "peak_lr": 2e-3, "total_steps": 2, "batch_tokens": 64, "data_path": str(corpus)}}))
+        save_checkpoint(build(ModelConfig.from_json(json.dumps(model)), Rng(0)), root / "m.ckpt")
+        return root, corpus
+
+    @staticmethod
+    def exit_line(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    @pytest.mark.parametrize("command", ["train", "sweep-s", "eval", "align", "mask-stats"])
+    def test_byte_outside_vocabulary_is_one_line(self, command, vocab16, tmp_path):
+        root, corpus = vocab16
+        out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
+        if command in ("train", "sweep-s"):
+            argv = [command, "--config", str(root / "config.json"), *out]
+        else:
+            argv = [command, "--checkpoint", str(root / "m.ckpt"), "--data", str(corpus), *out]
+        top = max(corpus.read_bytes()[: 125 * 32])
+        assert top >= 16
+        assert self.exit_line(argv) == f"trustquant: {corpus}: byte {top} is not below vocab_size 16"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value, batch", [
+        ("align", "--batch-size", "9", 9), ("mask-stats", "--batch-tokens", "288", 9),
+    ])
+    def test_batch_the_data_cannot_fill_is_one_line(self, command, flag, value, batch,
+                                                    workspace, tmp_path):
+        root, _, corpus = workspace
+        data = tmp_path / "eight.txt"
+        data.write_bytes(corpus.read_bytes()[: 8 * 32])  # eight 32-token windows
+        assert self.exit_line([command, "--checkpoint", str(root / "run" / "model.ckpt"),
+                               "--data", str(data), "--out", str(tmp_path / "out"),
+                               flag, value]) == (
+            f"trustquant: {data}: {flag} {value} gives batches of {batch} 32-token windows, "
+            f"not between 1 and the 8 training windows of {data}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestReadme:
     """README's CLI block and config example stay in step with the parser."""
 
@@ -521,8 +576,9 @@ class TestDispatch:
 # fits would take seconds per draw, and TestFitScaling covers it.
 INPUT_FILES = ["corpus.txt", "short.txt", "empty", "random.bin", "config.json",
                "short-config.json", "cut-config.json", "seq1-config.json",
-               "group3-config.json", "sparse-hidden10-config.json", "model.ckpt", "cut.ckpt",
-               "records.csv", "cut-records.csv", "dir", "missing"]
+               "group3-config.json", "sparse-hidden10-config.json", "vocab16-config.json",
+               "model.ckpt", "cut.ckpt", "vocab16.ckpt", "records.csv", "cut-records.csv", "dir",
+               "missing"]
 GOOD_TEXT = {"config": "config.json", "checkpoint": "model.ckpt", "data": "corpus.txt",
              "records": "records.csv", "out": "out", "precisions": "4,16"}
 SMALL = ["1", "2", "16"]  # numbers every flag takes and runs in milliseconds
@@ -535,7 +591,9 @@ def input_files(tmp_path_factory):
     The configs train a 1-block, hidden-8, 2-token model for 2 steps of 2
     windows, and the corpus holds 12, fewer than a 16-window batch. Three
     configs give a model that cannot run: 1-token windows, scale groups of 3,
-    and 2:4 sparsity at hidden 10, which runs under another --format."""
+    and 2:4 sparsity at hidden 10, which runs under another --format. The
+    vocab16 config and checkpoint take 16 token ids, below every byte of
+    the corpus."""
     root = tmp_path_factory.mktemp("inputs")
     write_corpus(root / "corpus.txt", 24, seed=35)
     (root / "short.txt").write_bytes(b"a")  # shorter than one window
@@ -556,6 +614,9 @@ def input_files(tmp_path_factory):
                                              "quant": {"format": "int4-sparse-2of4"}})]:
         unrunnable = {**config, "model": {**config["model"], **model}}
         (root / f"{name}-config.json").write_text(json.dumps(unrunnable))
+    vocab16 = {**config["model"], "vocab_size": 16}
+    (root / "vocab16-config.json").write_text(json.dumps({**config, "model": vocab16}))
+    save_checkpoint(build(ModelConfig.from_json(json.dumps(vocab16)), Rng(3)), root / "vocab16.ckpt")
     with contextlib.chdir(root):
         assert main(["train", "--config", "config.json", "--out", "run"]) == 0
     ckpt = (root / "run" / "model.ckpt").read_bytes()
@@ -604,9 +665,17 @@ def argvs(draw):
 
 class TestAnyArgv:
     @given(argvs())
+    @example(["train", "--config=vocab16-config.json", "--out=out"])
+    @example(["sweep-s", "--config=vocab16-config.json", "--out=out", "--s-grid=1"])
+    @example(["eval", "--checkpoint=vocab16.ckpt", "--data=corpus.txt"])
+    @example(["align", "--checkpoint=vocab16.ckpt", "--data=corpus.txt", "--out=out",
+              "--batches=1", "--batch-size=1"])
+    @example(["mask-stats", "--checkpoint=vocab16.ckpt", "--data=corpus.txt", "--out=out",
+              "--steps=1", "--interval=1", "--lr=1", "--batch-tokens=2"])
     @settings(max_examples=150, deadline=None)
     def test_ends_in_success_or_one_line(self, input_files, argv):
-        """Every draw returns 0, or exits 1 or 2 with one stderr line."""
+        """Every draw returns 0, or exits 1 or 2 with one stderr line. The
+        examples run each command that reads a corpus on the vocab16 files."""
         out, err = io.StringIO(), io.StringIO()
         with (tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp),
               contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):

@@ -228,6 +228,28 @@ class TestRoundFp4:
         mid = (0.0 + 0.5 / 6.0) / 2.0
         assert round_fp4(np.array([mid]), 1.0)[0] == pytest.approx(0.5 / 6.0)
 
+    @pytest.mark.parametrize("inputs", ["edges", "normals", "beyond"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.25, 7.0, None], ids=str)
+    def test_bitwise_equal_to_reference(self, alpha, dtype, inputs):
+        # edges: every grid point and midpoint with both float neighbours,
+        # +-0, +-inf and NaN; beyond: uniforms past +-alpha of either sign.
+        # None stands for the FP4 grid's alpha*
+        alpha = alpha_star("fp4") if alpha is None else alpha
+        rng = np.random.default_rng(13)
+        if inputs == "edges":
+            grid = alpha * FP4_GRID
+            points = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2]).astype(dtype)
+            x = np.concatenate([points, np.nextafter(points, dtype(np.inf)),
+                                np.nextafter(points, dtype(-np.inf)),
+                                np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype)])
+        elif inputs == "normals":
+            x = (alpha * rng.standard_normal(200_000)).astype(dtype)
+        else:
+            x = (rng.uniform(alpha, 4 * alpha, 200_000) * rng.choice([-1, 1], 200_000)).astype(dtype)
+        got, want = round_fp4(x, alpha), reference_round_fp4(x, alpha)
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
 
 class TestSparsify:
     def test_basic_group(self):
@@ -454,8 +476,23 @@ class TestProject:
 
 
 # --- frozen reference: project as it was before the one-buffer pipeline -----
-# INT rounding, trust rule and projection copied verbatim; round_fp4 and
-# sparsify_2of4 are shared because the pipeline kept them unchanged.
+# INT rounding, FP4 rounding, trust rule and projection copied verbatim;
+# sparsify_2of4 is shared because the pipeline kept it unchanged.
+
+def reference_round_fp4(x, alpha):
+    x = np.asarray(x)
+    grid = (alpha * FP4_GRID).astype(np.float64)
+    u = np.clip(x.astype(np.float64), -alpha, alpha)
+    hi = np.searchsorted(grid, u).clip(1, len(grid) - 1)
+    lo = hi - 1
+    d_lo = u - grid[lo]
+    d_hi = grid[hi] - u
+    pick_hi = d_hi < d_lo
+    tie = d_hi == d_lo
+    pick_hi = np.where(tie, hi % 2 == 0, pick_hi)
+    idx = np.where(pick_hi, hi, lo)
+    return grid[idx].astype(x.dtype, copy=False)
+
 
 def reference_uniform_codes(x, alpha, b):
     levels = (1 << b) - 1
@@ -491,7 +528,7 @@ def reference_project(x, cfg, axis=-1, with_codes=False):
     alpha = alpha_star(cfg.grid_key)
     sparsity_mask = codes = None
     if cfg.format == "fp4":
-        q_norm = round_fp4(x_norm, alpha)
+        q_norm = reference_round_fp4(x_norm, alpha)
     elif cfg.format == "int4-sparse-2of4":
         sparse_norm, keep = sparsify_2of4(x_norm)
         q_sparse = reference_uniform_codes(sparse_norm, alpha, 4)[0]
@@ -567,6 +604,39 @@ class TestProjectOracle:
                         continue
                     assert g.dtype == w.dtype and np.array_equal(g, w), where
         assert np.all(x == np.moveaxis(oracle_input(dtype, axis), axis, -1)), "input mutated"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fmt", PROJECTING)
+    def test_non_finite_group_is_nan_and_the_rest_matches_reference(self, fmt, dtype, bad):
+        # one NaN or inf in the oracle input: its group reads all NaN, and
+        # every other value, scale, code and mask is the reference's bits
+        # (the mask widened at interior kept entries as above)
+        x = oracle_input(dtype, 2)
+        x[2, 3, 5] = bad
+        for group_size in (None, 4):
+            cfg = QuantConfig(format=fmt, group_size=group_size)
+            width = group_size or x.shape[-1]
+            inside = np.zeros(x.shape, dtype=bool)
+            inside[2, 3, 5 // width * width: (5 // width + 1) * width] = True
+            outside_group = np.ones(x.shape[:-1] + (x.shape[-1] // width,), dtype=bool)
+            outside_group[2, 3, 5 // width] = False
+            for with_codes in (False, True):
+                with np.errstate(invalid="ignore"):
+                    got = project(x, cfg, with_codes=with_codes)
+                    want = list(reference_project(x, cfg, -1, with_codes))
+                    want[2] = want[2] | (interior(x, cfg) & (True if want[3] is None else want[3]))
+                where = f"group_size={group_size} with_codes={with_codes}"
+                assert np.isnan(got.values[inside]).all(), where
+                assert np.array_equal(got.scale[outside_group], want[1][outside_group]), where
+                for name, g, w in zip(("values", "trust_mask", "sparsity_mask", "codes"),
+                                      (got.values, got.trust_mask, got.sparsity_mask, got.codes),
+                                      want[:1] + want[2:]):
+                    if w is None:
+                        assert g is None, f"{name} {where}"
+                        continue
+                    assert g.dtype == w.dtype and np.array_equal(g[~inside], w[~inside]), \
+                        f"{name} {where}"
 
     @given(st.sampled_from(PROJECTING), st.sampled_from([np.float32, np.float64]),
            st.sampled_from([None, 4]), st.integers(-20, 20), st.integers(1, 6),

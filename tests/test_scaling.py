@@ -444,6 +444,27 @@ class TestEfficiency:
             efficiency(params, "fp4")
 
 
+class TestPrecisionTag:
+    """A precision is a whole bit-width or a name: a fraction or a bool is
+    rejected, not truncated to a bit-width."""
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda params: efficiency(params, 4.5), "4.5"),
+        (lambda params: predict_loss(params, 1e7, 1e9, 4.9), "4.9"),
+        (lambda params: isomem_threshold(params, 1e8, 4.5), "4.5"),
+        (lambda params: efficiency(params, True), "True"),
+    ], ids=["efficiency-4.5", "predict_loss-4.9", "isomem-4.5", "efficiency-True"])
+    def test_fraction_or_bool_raises_naming_it(self, call, value):
+        with pytest.raises(ValueError, match=f"precision {value} "):
+            call(chinchilla_like())
+
+    @pytest.mark.parametrize("tag", [4, 4.0, "4", np.int64(4), np.float32(4.0)], ids=repr)
+    def test_whole_bit_width_in_any_spelling(self, tag):
+        params = chinchilla_like()
+        assert efficiency(params, tag) == efficiency(params, 4)
+        assert predict_loss(params, 1e7, 1e9, tag) == predict_loss(params, 1e7, 1e9, 4)
+
+
 class TestIsomem:
     def test_tie_reports_no_crossing(self):
         # eff chosen so the P-bit model matches BF16 exactly at equal memory
