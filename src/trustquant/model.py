@@ -26,14 +26,17 @@ operands are allocated ahead of the pass's short-lived buffers.
 
 The forward keeps only what a backward reads. Each block releases
 (`ad.Tape.release`) the value of an intermediate once its last forward
-reader has run. A projection group releases its input, which no backward
-reads: the attention norm's and the MLP norm's outputs, the attention
-output and the SwiGLU output. Besides those, q and k go after the
-attention, o after the residual add and down after the second add. Their
-nodes stay on the tape with `.value` None. What stays alive is what the
-backward closures hold: the projected operands and their bit-packed trust
-masks, v, gate and up, the rotated q and k and the attention
-probabilities, the sigmoid of gate and the residual stream.
+reader has run. A projection group consumes its input, which no backward
+reads (`qlinear` releases it, and a tiled projection writes its grid
+values over it): the attention norm's and the MLP norm's outputs, the
+attention output and the SwiGLU output. Besides those, q and k go after
+the attention, o after the residual add and down after the second add.
+Their nodes stay on the tape with `.value` None. What stays alive is what
+the backward closures hold: each projected activation as its uint8 grid
+codes and per-group rescale (a quarter of its float32 bytes), the weight
+operands, the bit-packed trust masks, v, gate and up, the rotated q and k
+and the attention probabilities, the sigmoid of gate and the residual
+stream.
 
 A checkpoint is one numpy .npz whose first member, "config", holds the
 ModelConfig JSON as a 0-d string array, then every parameter in
@@ -229,10 +232,9 @@ def forward_logits(model: Model, tokens: np.ndarray):
 
     def proj(x, *names):
         """One output node per named weight; the weights share x's operand,
-        and x, read by no backward, is released."""
+        and `qlinear` consumes x."""
         outs = qlinear(x, [leaves[name] for name in names], cfg.quant,
                        [operands[name] for name in names])
-        tape.release(x)
         for name, (_, ctx) in zip(names, outs):
             trace.layer_contexts[name] = ctx
         return [node for node, _ in outs]

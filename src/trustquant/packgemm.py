@@ -96,8 +96,11 @@ def gemm_dequant(a: PackedMatrix, b: PackedMatrix) -> np.ndarray:
 
 
 def quantize_pack(x: np.ndarray) -> PackedMatrix:
-    """Project onto the INT4 grid (one group per row) and pack the codes."""
+    """Project onto the INT4 grid (one group per row) and pack the codes.
+    ValueError for a row whose RMS is not finite: its codes carry no value."""
     res = project(x, PACK_CFG, with_codes=True)
+    if np.isnan(res.rescale).any():
+        raise ValueError("quantize_pack needs rows of finite RMS: a NaN or inf has no INT4 code")
     return pack(res.codes, scales=res.scale)
 
 

@@ -26,6 +26,7 @@ FP4_POINTS = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]) / 6.0
 FP4_GRID = np.sort(np.concatenate([-FP4_POINTS[1:], FP4_POINTS]))  # 15 points
 
 INT_FORMATS = {f"int{b}": b for b in range(1, 9)}
+SPARSE_DROPPED = 16  # the 2:4 code of a dropped entry, past INT4's 0..15
 FORMATS = ("none", "fp4", "int4-sparse-2of4", *INT_FORMATS)
 
 # alpha* search window and integration accuracy (normal tail beyond 12 sigma
@@ -101,13 +102,16 @@ def round_grid(x, alpha: float, key, with_codes: bool = False):
     bit-width or "fp4") at clip scale alpha, in x's dtype.
 
     INT grid points are g_i = -alpha + 2*alpha*i/(2^b - 1), i = 0..2^b-1, and
-    ties round toward +inf. Returns (values, codes): int64 grid indices for
-    an INT grid on request, else None. INT grids round in one buffer."""
+    ties round toward +inf. Returns (values, codes): on request the uint8
+    grid indices (i on an INT grid, the index into the 15-point grid on
+    FP4), else None. A NaN entry of an INT grid has no index; its cast is
+    undefined. INT grids round in one buffer."""
+    x = np.asarray(x)
     if key == "fp4":
-        return round_fp4(x, alpha), None
+        idx = _fp4_index(x, alpha)
+        return fp4_table(alpha, x.dtype)[idx], idx.astype(np.uint8) if with_codes else None
     if not 1 <= key <= 8:
         raise ValueError(f"bit-width must be in [1, 8], got {key}")
-    x = np.asarray(x)
     require_float(x, "uniform quantization")
     if not 0 < 2.0 * float(alpha) <= float(np.finfo(x.dtype).max):  # the grid spans 2*alpha
         raise ValueError(f"alpha must be positive with 2*alpha finite in {x.dtype}, got {alpha}")
@@ -117,7 +121,7 @@ def round_grid(x, alpha: float, key, with_codes: bool = False):
     q *= levels / (2.0 * alpha)
     q += 0.5
     np.floor(q, out=q)  # in [0, levels]: the clip above bounds it
-    codes = q.astype(np.int64) if with_codes else None
+    codes = q.astype(np.uint8) if with_codes else None
     q *= 2.0 * alpha / levels
     q += -alpha
     return q, codes
@@ -128,22 +132,27 @@ def round_fp4(x: np.ndarray, alpha: float) -> np.ndarray:
 
     Ties go to the even grid index (indices over the sorted 15-point grid).
     """
-    x = np.asarray(x)
+    return round_grid(x, alpha, "fp4")[0]
+
+
+def fp4_table(alpha: float, dtype) -> np.ndarray:
+    """The 15 FP4 grid points at clip scale alpha, in `dtype`, by grid index."""
+    return (alpha * FP4_GRID).astype(dtype, copy=False)
+
+
+def _fp4_index(x, alpha: float) -> np.ndarray:
+    """Index of each entry's FP4 grid point (`round_fp4`), as int64."""
     require_float(x, "FP4 rounding")
     grid = alpha * FP4_GRID
     u = np.clip(x.astype(np.float64), -alpha, alpha)
     hi = np.searchsorted(grid, u).clip(1, len(grid) - 1)
     d_lo, d_hi = u - grid[hi - 1], grid[hi] - u
-    idx = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0)), hi, hi - 1)
-    return grid[idx].astype(x.dtype, copy=False)
+    return np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0)), hi, hi - 1)
 
 
-def sparsify_2of4(x: np.ndarray):
-    """Keep the 2 largest-magnitude entries in each contiguous group of 4
-    along the last axis.
-
-    Ties break toward the lower index. Returns (values, keep_mask).
-    """
+def sparsify_2of4(x: np.ndarray) -> np.ndarray:
+    """Keep mask of the 2 largest-magnitude entries in each contiguous group
+    of 4 along the last axis. Ties break toward the lower index."""
     x = np.asarray(x)
     require_axis(x, "2:4 sparsification")
     extent = x.shape[-1]
@@ -154,8 +163,7 @@ def sparsify_2of4(x: np.ndarray):
     order = np.argsort(-np.abs(grouped), axis=-1, kind="stable")
     keep = np.zeros(grouped.shape, dtype=bool)
     np.put_along_axis(keep, order[..., :2], True, axis=-1)
-    keep = keep.reshape(x.shape)
-    return np.where(keep, x, np.zeros((), dtype=x.dtype)), keep
+    return keep.reshape(x.shape)
 
 
 # --- MSE-optimal clip scale --------------------------------------------------
@@ -222,7 +230,12 @@ class ProjectionResult:
         trust threshold: |input / RMS| <= alpha* + s*T, except at 2:4-dropped
         entries (`trust_mask`).
     sparsity_mask: keep mask for the 2:4 format, else None.
-    codes: integer grid indices for INT grids (for packing), else None.
+    codes: on request, uint8 grid codes: INT grid indices, FP4 grid
+        indices, or for 2:4 INT4 indices with SPARSE_DROPPED at a dropped
+        entry; else None.
+    rescale: the factor each group's grid values were multiplied by, the
+        group RMS r or NaN where r is not finite (shape of scale); None for
+        "none". `grid_values(codes, rescale, cfg, out)` rebuilds values.
     """
 
     values: np.ndarray
@@ -230,6 +243,7 @@ class ProjectionResult:
     trust_mask: np.ndarray
     sparsity_mask: np.ndarray | None = None
     codes: np.ndarray | None = None
+    rescale: np.ndarray | None = None
 
 
 def trust_mask(x_norm: np.ndarray, cfg: QuantConfig, keep: np.ndarray | None) -> np.ndarray:
@@ -261,11 +275,11 @@ def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> Pro
 
     Runs in x's dtype on two buffers, x / r and its grid values rescaled in
     place. Every format rounds x / r in one `round_grid` call; 2:4 then
-    zeroes the entries `sparsify_2of4` drops (a 0 would round to +T) and
-    returns no codes. One rescale by r follows: a zero-RMS group's grid
-    values are all >= 0, so it maps to exact zeros with a full-trust mask,
-    and a group holding a NaN or an inf (a non-finite r) maps to all-NaN
-    values in every format, `none` included.
+    zeroes the entries `sparsify_2of4` drops (a 0 would round to +T). One
+    rescale by r follows: a zero-RMS group's grid values are all >= 0, so it
+    maps to exact zeros with a full-trust mask, and a group holding a NaN or
+    an inf (a non-finite r) maps to all-NaN values in every format, `none`
+    included. Such a group rounds as zeros, so its codes are in range.
     """
     x = np.asarray(x)
     require_float(x, "projection")
@@ -287,12 +301,16 @@ def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> Pro
     safe_r = np.where(nonfinite | (r == 0), 1.0, r)  # for the division only
     np.divide(grouped, safe_r, out=x_norm)
 
-    keep = sparsify_2of4(x_norm)[1] if cfg.format == "int4-sparse-2of4" else None
-    q, codes = round_grid(x_norm, alpha, cfg.grid_key, with_codes and keep is None)
+    keep = sparsify_2of4(x_norm) if cfg.format == "int4-sparse-2of4" else None
+    mask = trust_mask(x_norm, cfg, keep)
+    x_norm[nonfinite[..., 0]] = 0.0
+    q, codes = round_grid(x_norm, alpha, cfg.grid_key, with_codes)
     if keep is not None:
         np.copyto(q, 0.0, where=~keep)
-    mask = trust_mask(x_norm, cfg, keep)
-    q *= np.where(nonfinite, np.nan, r)
+        if codes is not None:
+            np.copyto(codes, SPARSE_DROPPED, where=~keep)
+    rescale = np.where(nonfinite, np.nan, r)
+    q *= rescale
 
     return ProjectionResult(
         values=np.ascontiguousarray(q.reshape(x.shape)),
@@ -300,4 +318,30 @@ def project(x: np.ndarray, cfg: QuantConfig, *, with_codes: bool = False) -> Pro
         trust_mask=mask.reshape(x.shape),
         sparsity_mask=keep.reshape(x.shape) if keep is not None else None,
         codes=codes.reshape(x.shape) if codes is not None else None,
+        rescale=rescale[..., 0],
     )
+
+
+def grid_values(codes: np.ndarray, rescale: np.ndarray, cfg: QuantConfig,
+                out: np.ndarray) -> np.ndarray:
+    """The values of `project(x, cfg, with_codes=True)`, rebuilt bitwise from
+    its codes and rescale into `out`, a C-contiguous array of codes' shape in
+    x's dtype, by the same arithmetic on the same grid points: the INT
+    grid's two passes, or a lookup of the FP4 or 2:4 grid point in that
+    dtype; then the rescale per group."""
+    alpha = alpha_star(cfg.grid_key)
+    if cfg.format in INT_FORMATS:
+        levels = (1 << cfg.bits) - 1
+        np.multiply(codes, 2.0 * alpha / levels, out=out, dtype=out.dtype)
+        out += -alpha
+    elif cfg.format == "fp4":
+        np.take(fp4_table(alpha, out.dtype), codes, out=out)
+    else:
+        table = np.arange(SPARSE_DROPPED + 1, dtype=out.dtype)  # round_grid's INT4 points
+        table *= 2.0 * alpha / 15
+        table += -alpha
+        table[SPARSE_DROPPED] = 0.0
+        np.take(table, codes, out=out)
+    grouped = out.reshape(rescale.shape + (-1,))
+    grouped *= rescale[..., None]
+    return out

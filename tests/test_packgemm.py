@@ -43,6 +43,21 @@ class TestPack:
             pack(np.full((2, 2), 16))
 
 
+class TestQuantizePack:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rows_rejected(self, bad):
+        x = np.random.default_rng(52).standard_normal((3, 8)).astype(np.float32)
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="finite RMS"):
+            quantize_pack(x)
+
+    def test_finite_rows_pack_their_codes(self):
+        x = np.random.default_rng(53).standard_normal((3, 8))
+        res = project(x, QuantConfig(format="int4", hadamard=False), with_codes=True)
+        assert np.array_equal(unpack(quantize_pack(x)), res.codes)
+
+
 class TestGemmDequant:
     def test_endpoint_product(self):
         # code 15 at unit scale dequantizes to 15/15 = 1; two such terms sum to 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trustquant import autodiff as ad
 from trustquant import qlinear as ql
 from trustquant.hadamard import ht, iht
-from trustquant.quantizer import FORMATS, QuantConfig, project
+from trustquant.quantizer import FORMATS, QuantConfig, grid_values, project
 
 
 def dense_sylvester(n):
@@ -119,19 +119,36 @@ def test_forward_matches_frozen_oracle(fmt, hadamard, weight_only, dtype):
 
 def untiled_operand(a, cfg):
     """An operand as `qlinear` computed it before row tiles: the transform
-    and the projection each on the whole array, the mask packed along k."""
+    and the projection each on the whole array; (values, codes, rescale,
+    mask packed along k), with None for the last three when not projected."""
     a_h = ht(a) if cfg.hadamard else a
     if cfg.format == "none":
-        return a_h, None
-    p = project(a_h, cfg)
-    return p.values, np.packbits(p.trust_mask, axis=-1)
+        return a_h, None, None, None
+    p = project(a_h, cfg, with_codes=True)
+    return p.values, p.codes, p.rescale, np.packbits(p.trust_mask, axis=-1)
+
+
+def parts(side, got):
+    """An operand from `side` as `untiled_operand` lays it out: a weight
+    holds no codes or rescale, an activation's come from its SavedActivation."""
+    if side is ql.weight:
+        return got[0], None, None, got[1]
+    values, saved, bits = got
+    assert saved.readers == 0 and (saved.codes is None) == (saved.values is values)
+    return values, saved.codes, saved.rescale, bits
 
 
 def same_operand(got, want):
-    """Each half of two operands is the same bytes, or None in both."""
+    """Each part of two operands is the same bytes, or None in both."""
     return all(g is None if w is None else
                g is not None and g.dtype == w.dtype and g.shape == w.shape
                and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def consumable(tape, a):
+    """A node holding a copy of `a` as an op's own output, which `qlinear`
+    may write over."""
+    return ad.add(tape.leaf(a), tape.leaf(np.zeros_like(a)))
 
 
 class TestRowTiles:
@@ -141,7 +158,8 @@ class TestRowTiles:
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        monkeypatch.setattr(ql, "project", lambda a, cfg: calls.append(a.shape) or project(a, cfg))
+        monkeypatch.setattr(ql, "project", lambda a, cfg, **kw: calls.append(a.shape)
+                            or project(a, cfg, **kw))
         return calls
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -163,12 +181,15 @@ class TestRowTiles:
                 want = untiled_operand(a, cfg)
                 for side in (ql.activation, ql.weight):
                     calls.clear()
-                    got = side(a, cfg)
+                    got = parts(side, side(a, cfg))
+                    if side is ql.weight:
+                        want = want[:1] + (None, None) + want[3:]
                     assert same_operand(got, want), (side.__name__, width, dtype,
                                                      hadamard, group_size, n)
                     assert len(calls) == (0 if fmt == "none" else tiles)
                 if n == 11:  # leading axes tile as their flattened rows
-                    got3 = ql.activation(a.reshape(1, n, width), cfg)
+                    want = untiled_operand(a, cfg)
+                    got3 = parts(ql.activation, ql.activation(a.reshape(1, n, width), cfg))
                     assert all(g is w is None or g.tobytes() == w.tobytes()
                                for g, w in zip(got3, want))
 
@@ -179,23 +200,34 @@ class TestRowTiles:
         step = ql.TILE // 1792
         a[step - 1] = 0.0
         a[step, 7] = np.nan
-        got = ql.activation(a, cfg)
+        got = parts(ql.activation, ql.activation(a, cfg))
         assert step == 73 and len(calls) == 28  # 27 tiles of 73 rows and one of 61
         assert same_operand(got, untiled_operand(a, cfg))
         assert np.isnan(got[0][step]).all() and not got[0][step - 1].any()
 
     def test_tiles_bound_the_temporary_memory(self):
-        # past its two outputs, the operand holds a few tiles, not full-size buffers
+        # qlinear writes the grid values over its input, so past the codes,
+        # rescale and bits its context keeps and the small output, the
+        # group holds a few tiles, not full-size buffers
         cfg = QuantConfig(format="int4")
-        a = np.random.default_rng(43).standard_normal((2032, 1792)).astype(np.float32)
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((2032, 1792)).astype(np.float32)
+        w = rng.standard_normal((4, 1792)).astype(np.float32)
+        want = untiled_operand(a, cfg)
         ql.activation(a[:8], cfg)  # alpha* and the Sylvester blocks are cached
+        tape = ad.Tape()
+        nx, nw = consumable(tape, a), tape.leaf(w)
+        held = nx.value
+        w_operand = ql.weight(w, cfg)
         tracemalloc.start()
         try:
-            values, bits = ql.activation(a, cfg)
+            [(node, ctx)] = ql.qlinear(nx, [nw], cfg, [w_operand])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - values.nbytes - bits.nbytes < 8 * ql.TILE * a.itemsize
+        kept = ctx.x.codes.nbytes + ctx.x.rescale.nbytes + ctx.bits_x.nbytes + node.value.nbytes
+        assert peak - kept < 8 * ql.TILE * a.itemsize
+        assert nx.value is None and held.tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [128, 640, 1792])
@@ -251,6 +283,84 @@ class TestStoredMasks:
                 assert ctx.bits_w.nbytes == 7 * 2
             else:
                 assert ctx.mask_w.shape == w.shape and ctx.mask_w.all()
+
+
+class TestSavedActivation:
+    """A projected activation is saved as its uint8 codes and per-group
+    rescale; a group's backwards share one rebuild of it."""
+
+    @pytest.mark.parametrize("tile", [None, 3 * 16])  # the whole array; tiles of 3 rows
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_x_side_holds_no_float_array(self, fmt, tile, monkeypatch):
+        if tile:
+            monkeypatch.setattr(ql, "TILE", tile)
+        rng = np.random.default_rng(47)
+        x = (rng.standard_normal((12, 16)) * 3).astype(np.float32)
+        w = rng.standard_normal((10, 16)).astype(np.float32)
+        for cfg in (QuantConfig(format=fmt, group_size=4), QuantConfig(format=fmt)):
+            _, ctx = ql.forward(x, w, cfg)
+            _, want = frozen_forward(x, w, cfg)
+            if fmt == "none":
+                assert ctx.x.codes is None and ctx.x.values is ctx.x_hat_h
+                continue
+            saved = ctx.x
+            groups = 16 // (cfg.group_size or 16)
+            assert saved.values is None and saved.codes.dtype == np.uint8
+            assert saved.rescale.shape == (12, groups) and saved.rescale.dtype == np.float32
+            assert (saved.codes.nbytes + saved.rescale.nbytes + ctx.bits_x.nbytes
+                    == 12 * 16 + 12 * groups * 4 + 12 * 2)
+            assert ctx.x_hat_h.tobytes() == want.x_hat_h.tobytes()
+            assert saved.values is None  # reading x_hat_h keeps no rebuild
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_qlinear_consumes_its_input(self, tiled, monkeypatch):
+        if tiled:
+            monkeypatch.setattr(ql, "TILE", 3 * 16)
+        rng = np.random.default_rng(48)
+        a = rng.standard_normal((12, 16)).astype(np.float32)
+        w = rng.standard_normal((10, 16)).astype(np.float32)
+        cfg = QuantConfig(format="int4")
+        want = untiled_operand(a, cfg)[0]
+        t = ad.Tape()
+        nx, nw = consumable(t, a), t.leaf(w)
+        held = nx.value
+        [(node, ctx)] = ql.qlinear(nx, [nw], cfg, [ql.weight(w, cfg)])
+        assert nx.value is None and nx.shape == a.shape
+        # a tiled projection writes its grid values over the input it
+        # consumed, and an untiled one the transform
+        assert held.tobytes() == (want if tiled else ht(a)).tobytes()
+        assert node.value.tobytes() == (want @ ql.weight(w, cfg)[0].T).tobytes()
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_a_leaf_or_a_view_is_not_written(self, tiled, monkeypatch):
+        if tiled:
+            monkeypatch.setattr(ql, "TILE", 3 * 16)
+        a = np.random.default_rng(49).standard_normal((12, 16))
+        before = a.tobytes()
+        cfg = QuantConfig(format="int4")
+        for view in (False, True):
+            t = ad.Tape()
+            nx, nw = t.leaf(a), t.leaf(np.ones((2, 16)))
+            if view:  # a reshape of a contiguous value is a view of it
+                nx = ad.reshape(nx, (3, 4, 16))
+            [(_, ctx)] = ql.qlinear(nx, [nw], cfg, [ql.weight(nw.value, cfg)])
+            assert a.tobytes() == before
+            assert ctx.x_hat_h.tobytes() == untiled_operand(a, cfg)[0].tobytes()
+
+    @pytest.mark.parametrize("fmt", ["int4", "fp4", "int4-sparse-2of4"])
+    def test_a_group_shares_one_rebuild(self, fmt, monkeypatch):
+        rebuilds = []
+        monkeypatch.setattr(ql, "grid_values", lambda *a: rebuilds.append(1) or grid_values(*a))
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((2, 6, 16)).astype(np.float32)
+        ws = [rng.standard_normal((n, 16)).astype(np.float32) for n in (5, 7, 3)]
+        ups = [rng.standard_normal((2, 6, n)).astype(np.float32) for n in (5, 7, 3)]
+        cfg = QuantConfig(format=fmt)
+        outs, _, _ = _run_tape(cfg, x, ws, ups)
+        assert len(rebuilds) == 1  # one tile, rebuilt once for three backwards
+        saved = outs[0][1].x
+        assert all(ctx.x is saved for _, ctx in outs)
+        assert saved.readers == 0 and saved.values is None  # dropped after the last
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -486,12 +596,14 @@ def test_group_equals_members_run_alone(case):
     alone = [_run_tape(cfg, x, [w], [u]) for w, u in zip(ws, upstreams)]
     for i, ((node, ctx), ([(node1, ctx1)], _, [gw1])) in enumerate(zip(outs, alone)):
         _same_bytes(node.value, node1.value, f"y{i}")
-        for f in dataclasses.fields(ctx):
-            got, want = getattr(ctx, f.name), getattr(ctx1, f.name)
-            if f.name == "hadamard" or want is None:
+        # the group's readers have run, so the activation is its codes again
+        assert ctx.x.readers == 0 and (ctx.x.codes is None) == (ctx.x.values is not None)
+        for name in ("x_hat_h", "w_hat_h", "bits_x", "bits_w", "hadamard"):
+            got, want = getattr(ctx, name), getattr(ctx1, name)
+            if name == "hadamard" or want is None:
                 assert got is want
             else:
-                _same_bytes(got, want, f"{f.name}{i}")
+                _same_bytes(got, want, f"{name}{i}")
         _same_bytes(gws[i], gw1, f"grad_w{i}")
     # the tape runs a group's nodes last to first, so x's gradient sums that way
     want_gx = alone[-1][1]

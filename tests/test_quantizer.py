@@ -10,9 +10,11 @@ from hypothesis.extra import numpy as hnp
 from trustquant.quantizer import (
     FORMATS,
     FP4_GRID,
+    SPARSE_DROPPED,
     QuantConfig,
     alpha_star,
     gaussian_grid_mse,
+    grid_values,
     project,
     round_fp4,
     round_grid,
@@ -247,24 +249,23 @@ class TestRoundFp4:
             x = (alpha * rng.standard_normal(200_000)).astype(dtype)
         else:
             x = (rng.uniform(alpha, 4 * alpha, 200_000) * rng.choice([-1, 1], 200_000)).astype(dtype)
-        got, want = round_fp4(x, alpha), reference_round_fp4(x, alpha)
+        got, want = round_fp4(x, alpha), reference_round_fp4(x, alpha)[0]
         assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 class TestSparsify:
     def test_basic_group(self):
-        values, mask = sparsify_2of4(np.array([4.0, -3.0, 1.0, 0.0]))
-        assert mask.tolist() == [True, True, False, False]
-        assert values.tolist() == [4.0, -3.0, 0.0, 0.0]
+        mask = sparsify_2of4(np.array([4.0, -3.0, 1.0, 0.0]))
+        assert mask.dtype == bool and mask.tolist() == [True, True, False, False]
 
     def test_tie_keeps_lower_index(self):
-        _, mask = sparsify_2of4(np.ones(4))
+        mask = sparsify_2of4(np.ones(4))
         assert mask.tolist() == [True, True, False, False]
 
     def test_against_sort_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(1024)
-        _, mask = sparsify_2of4(x)
+        mask = sparsify_2of4(x)
         for g in range(256):
             grp = x[4 * g: 4 * g + 4]
             order = sorted(range(4), key=lambda i: (-abs(grp[i]), i))
@@ -272,14 +273,19 @@ class TestSparsify:
             got = set(np.flatnonzero(mask[4 * g: 4 * g + 4]).tolist())
             assert got == want
 
-    def test_exactly_two_nonzero_per_group(self):
+    def test_exactly_two_kept_per_group(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((16, 64))
-        values, mask = sparsify_2of4(x)
-        nz = (values.reshape(16, 16, 4) != 0).sum(axis=-1)
-        kept = mask.reshape(16, 16, 4).sum(axis=-1)
-        assert np.all(kept == 2)
-        assert np.all(nz <= 2)
+        mask = sparsify_2of4(x)
+        assert mask.shape == x.shape
+        assert np.all(mask.reshape(16, 16, 4).sum(axis=-1) == 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_matches_the_frozen_sparsifier(self, dtype):
+        x = np.random.default_rng(15).standard_normal((64, 32)).astype(dtype)
+        x[:, ::5] = x[:, 1::5][:, :x[:, ::5].shape[1]]  # magnitude ties
+        x[3] = 0.0
+        assert sparsify_2of4(x).tobytes() == reference_sparsify_2of4(x)[1].tobytes()
 
     def test_non_divisible_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -399,7 +405,8 @@ class TestProject:
         x = rng.standard_normal((3, 8)).astype(np.float32)
         res = project(x, QuantConfig(format="int4"), with_codes=True)
         levels = 15
-        rebuilt = res.scale * (2 * res.codes - levels) / levels
+        assert res.codes.dtype == np.uint8  # widened below: 2 * code - 15 wraps in uint8
+        rebuilt = res.scale * (2 * res.codes.astype(np.int64) - levels) / levels
         assert np.allclose(res.values, rebuilt, rtol=1e-6, atol=1e-7)
 
     def test_interior_always_trusted(self):
@@ -476,8 +483,10 @@ class TestProject:
 
 
 # --- frozen reference: project as it was before the one-buffer pipeline -----
-# INT rounding, FP4 rounding, trust rule and projection copied verbatim;
-# sparsify_2of4 is shared because the pipeline kept it unchanged.
+# INT rounding, FP4 rounding, 2:4 sparsification, trust rule and projection
+# copied verbatim. The codes the reference returns are uint8: every format's
+# as `project` defines them (INT and FP4 grid indices; for 2:4, INT4 indices
+# and SPARSE_DROPPED at a dropped entry).
 
 def reference_round_fp4(x, alpha):
     x = np.asarray(x)
@@ -491,7 +500,18 @@ def reference_round_fp4(x, alpha):
     tie = d_hi == d_lo
     pick_hi = np.where(tie, hi % 2 == 0, pick_hi)
     idx = np.where(pick_hi, hi, lo)
-    return grid[idx].astype(x.dtype, copy=False)
+    return grid[idx].astype(x.dtype, copy=False), idx.astype(np.uint8)
+
+
+def reference_sparsify_2of4(x):
+    x = np.asarray(x)
+    extent = x.shape[-1]
+    grouped = x.reshape(x.shape[:-1] + (extent // 4, 4))
+    order = np.argsort(-np.abs(grouped), axis=-1, kind="stable")
+    keep = np.zeros(grouped.shape, dtype=bool)
+    np.put_along_axis(keep, order[..., :2], True, axis=-1)
+    keep = keep.reshape(x.shape)
+    return np.where(keep, x, np.zeros((), dtype=x.dtype)), keep
 
 
 def reference_uniform_codes(x, alpha, b):
@@ -501,7 +521,7 @@ def reference_uniform_codes(x, alpha, b):
     codes = np.floor(t + 0.5)
     np.clip(codes, 0, levels, out=codes)
     values = (-alpha + codes * (2.0 * alpha / levels)).astype(x.dtype, copy=False)
-    return values, codes.astype(np.int64)
+    return values, codes.astype(np.uint8)
 
 
 def reference_trust_mask(x_norm, x_hat_norm, cfg):
@@ -528,16 +548,18 @@ def reference_project(x, cfg, axis=-1, with_codes=False):
     alpha = alpha_star(cfg.grid_key)
     sparsity_mask = codes = None
     if cfg.format == "fp4":
-        q_norm = reference_round_fp4(x_norm, alpha)
+        q_norm, code_arr = reference_round_fp4(x_norm, alpha)
     elif cfg.format == "int4-sparse-2of4":
-        sparse_norm, keep = sparsify_2of4(x_norm)
+        sparse_norm, keep = reference_sparsify_2of4(x_norm)
         q_sparse = reference_uniform_codes(sparse_norm, alpha, 4)[0]
         q_norm = np.where(keep, q_sparse, 0.0).astype(x.dtype, copy=False)
         sparsity_mask = keep
+        code_arr = np.where(keep, reference_uniform_codes(x_norm, alpha, 4)[1],
+                            SPARSE_DROPPED).astype(np.uint8)
     else:
         q_norm, code_arr = reference_uniform_codes(x_norm, alpha, cfg.bits)
-        if with_codes:
-            codes = code_arr
+    if with_codes:
+        codes = code_arr
     mask = reference_trust_mask(x_norm, q_norm, cfg)
     values = q_norm * safe_r
     zero_group = np.broadcast_to(r == 0, grouped.shape)
@@ -673,6 +695,56 @@ class TestProjectOracle:
         assert not project(x, QuantConfig(format="int4")).trust_mask.all()
         res = project(x, QuantConfig(format="int4", group_size=4))
         assert (res.scale == 0).sum() == 5  # a zero fiber of four groups, one lone group
+
+
+class TestCodes:
+    """`project(..., with_codes=True)` returns uint8 codes for every
+    projecting format, and `grid_values` rebuilds the values from them."""
+
+    @pytest.mark.parametrize("group_size", [None, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fmt", PROJECTING)
+    def test_rebuild_is_bitwise(self, fmt, dtype, group_size):
+        x = (np.random.default_rng(61).standard_normal((24, 64)) * 3).astype(dtype)
+        x[2] = 0.0  # zero-RMS groups: a whole row, and one group in a nonzero row
+        x[3, 32:] = 0.0
+        x[4, 7] = np.nan  # a non-finite group rebuilds as NaN
+        x[5, 40] = -np.inf
+        cfg = QuantConfig(format=fmt, group_size=group_size)
+        res = project(x, cfg, with_codes=True)
+        top = SPARSE_DROPPED if fmt == "int4-sparse-2of4" else len(FP4_GRID) - 1 \
+            if fmt == "fp4" else (1 << cfg.bits) - 1
+        assert res.codes.dtype == np.uint8 and res.codes.shape == x.shape
+        assert res.codes.max() <= top
+        assert res.rescale.dtype == dtype and res.rescale.shape == res.scale.shape
+        out = np.full_like(x, 7.0)
+        assert grid_values(res.codes, res.rescale, cfg, out) is out
+        assert out.tobytes() == res.values.tobytes()
+
+    @pytest.mark.parametrize("fmt", PROJECTING)
+    def test_without_codes_the_values_are_the_same(self, fmt):
+        x = np.random.default_rng(62).standard_normal((4, 16)).astype(np.float32)
+        cfg = QuantConfig(format=fmt)
+        assert project(x, cfg).codes is None
+        assert project(x, cfg).values.tobytes() == project(x, cfg, with_codes=True).values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fmt", PROJECTING)
+    def test_non_finite_group_codes_are_a_zero_group_codes(self, fmt, dtype):
+        # a group holding a NaN or an inf gets the in-range codes of a zero
+        # group, with no cast warning; its NaN rescale makes the values NaN
+        cfg = QuantConfig(format=fmt, group_size=4)
+        x = np.array([[np.inf, 1.0, 2.0, 3.0, 0.5, 0.25, -1.0, -2.0],
+                      [0.3, np.nan, 1.1, 0.2, 0.0, 0.0, 0.0, 0.0]], dtype=dtype)
+        res = project(x, cfg, with_codes=True)
+        zero = project(np.zeros((1, 4), dtype), cfg, with_codes=True).codes[0, 0]
+        kept = True if res.sparsity_mask is None else res.sparsity_mask
+        want = np.where(kept, zero, SPARSE_DROPPED)  # 2:4 still drops two of four
+        assert np.array_equal(res.codes[:, :4], np.broadcast_to(want, x.shape)[:, :4])
+        assert np.array_equal(res.codes[1, 4:], np.broadcast_to(want, x.shape)[1, 4:])
+        assert np.isnan(res.rescale[:, 0]).all() and np.isfinite(res.rescale[:, 1]).all()
+        assert np.isnan(res.values[:, :4]).all() and not np.isnan(res.values[:, 4:]).any()
 
 
 class TestDtypes:
